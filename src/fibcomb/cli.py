@@ -13,7 +13,7 @@ from .compositions import ROUTES, triangle
 from .convolved import convolved_fib, convolved_table
 from .fib import fib
 from .formats import FORMATS, render_grid, render_triangle
-from .hessenberg import EnumerationBoundError, build_F, build_G, char_poly, det
+from .hessenberg import build_F, build_G, char_poly, det
 from .verify import SUITE_NAMES, format_report, run_all, run_suite
 
 
@@ -103,15 +103,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("--variant needs --suite compositions")
         reports = run_all(nmax=args.nmax, bound=args.bound, seed=args.seed)
     else:
-        reports = [
-            run_suite(
-                args.suite,
-                nmax=args.nmax,
-                bound=args.bound,
-                seed=args.seed,
-                variant=args.variant,
-            )
-        ]
+        reports = [run_suite(args.suite, nmax=args.nmax, bound=args.bound,
+                             seed=args.seed, variant=args.variant)]
     for report in reports:
         print(format_report(report))
     return 0 if all(report.passed for report in reports) else 1
@@ -129,14 +122,19 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # values are exact ints of any size, so printing one must not hit the
+    # int-to-str digit limit (Python >= 3.10.7); restore the caller's limit
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
-    except EnumerationBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ Five independent routes compute the same triangle (OEIS A105422):
 * ``c_bruteforce``   - enumerate all 2^(n-1) compositions and count;
 * ``c_formula``      - coefficient extraction from powers of the series
                        G(x) = 1 + x^2/(1 - x - x^2);
-* ``c_recurrence``   - memoized recurrence peeling off the first part equal
+* ``c_recurrence``   - bottom-up recurrence peeling off the first part equal
                        to 1;
 * ``bitstring_singles_oracle`` - count bit strings that start with 0 and
                        have exactly k maximal runs of length 1;
@@ -18,9 +18,8 @@ string, which has no runs; that anchors the same convention.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cache
 from math import prod
 
 from .fib import fib
@@ -79,16 +78,35 @@ def _compositions(n: int) -> Iterator[Composition]:
             yield (first,) + rest
 
 
+def _count_by_ones(items: Iterator[tuple[int, ...]], n: int) -> list[int]:
+    # counts[k] = how many of the part (or run) tuples have exactly k ones
+    counts = [0] * (n + 1)
+    for parts in items:
+        counts[parts.count(1)] += 1
+    return counts
+
+
 def c_bruteforce(n: int, k: int, bound: int = DEFAULT_COMPOSITION_BOUND) -> int:
     """Count compositions of n with exactly k ones by full enumeration."""
     _check_nk(n, k)
-    return sum(1 for comp in enumerate_compositions(n, bound) if comp.count(1) == k)
+    return _count_by_ones(enumerate_compositions(n, bound), n)[k]
 
 
 def _ones_series(length: int) -> list[int]:
     # G(x) = sum_m fib(m-1) x^m = 1 + x^2/(1 - x - x^2): the generating
     # function of compositions with no part equal to 1, plus the empty one.
     return [fib(m - 1) for m in range(length)]
+
+
+def _ones_power_coefficient(n: int, k: int, shift: int) -> int:
+    # coefficient of x^(n-k+shift) in G(x)^(k+1), by k truncated convolutions
+    _check_nk(n, k)
+    length = n - k + shift + 1
+    g = _ones_series(length)
+    series = g[:]
+    for _ in range(k):
+        series = convolve(series, g, length)
+    return series[length - 1]
 
 
 def c_formula(n: int, k: int) -> int:
@@ -98,13 +116,7 @@ def c_formula(n: int, k: int) -> int:
     j_t >= -1 and j_1+...+j_{k+1} = n-2k-1, but costs k truncated
     convolutions instead of an exponential tuple scan.
     """
-    _check_nk(n, k)
-    length = n - k + 1
-    g = _ones_series(length)
-    series = g[:]
-    for _ in range(k):
-        series = convolve(series, g, length)
-    return series[n - k]
+    return _ones_power_coefficient(n, k, 0)
 
 
 def _signed_tuples(parts: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -133,30 +145,32 @@ def c_formula_wrong_index(n: int, k: int) -> int:
     n=3, k=1 it yields 5 where the true count is 2; at k=0 it yields
     fib(n+1) instead of fib(n-1)).
     """
-    _check_nk(n, k)
-    length = n - k + 3
-    g = _ones_series(length)
-    series = g[:]
-    for _ in range(k):
-        series = convolve(series, g, length)
-    return series[n - k + 2]
+    return _ones_power_coefficient(n, k, 2)
 
 
-@cache
-def _c_rec(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    if k == 0:
-        return fib(n - 1)
-    # split at the first part equal to 1: a 1-free prefix summing to j+1,
-    # then the 1, then a composition of n-j-2 with k-1 ones
-    return sum(fib(j) * _c_rec(n - j - 2, k - 1) for j in range(-1, n - k))
+def _recurrence_rows(widths: Iterable[int]) -> list[list[int]]:
+    # rows[j][d] = c(j + d, j) for d < widths[j] (widths must not grow).  Split
+    # at the first part equal to 1: a 1-free prefix summing to s + 1 (fib(s)
+    # of them), the 1, then n - s - 2 with one 1 fewer.  Base c(m, 0) = fib(m-1).
+    widths = list(widths)
+    fibs = _ones_series(widths[0])  # fibs[s + 1] = fib(s)
+    rows = [fibs]
+    for width in widths[1:]:
+        prev = rows[-1]
+        rows.append([
+            sum(fibs[s + 1] * prev[d - s - 1] for s in range(-1, d))
+            for d in range(width)
+        ])
+    return rows
 
 
 def c_recurrence(n: int, k: int) -> int:
-    """c(n, k) by the memoized first-one recurrence, base row c(m, 0) = fib(m-1)."""
+    """c(n, k) by the first-one recurrence, base row c(m, 0) = fib(m-1).
+
+    Fills a fresh (k+1) x (n-k+1) table bottom-up: no recursion, no cache.
+    """
     _check_nk(n, k)
-    return _c_rec(n, k)
+    return _recurrence_rows([n - k + 1] * (k + 1))[k][n - k]
 
 
 def bitstring_runs(
@@ -202,7 +216,7 @@ def bitstring_singles_oracle(
     A single is a maximal run of identical bits with length exactly 1.
     """
     _check_nk(n, k)
-    return sum(1 for runs in bitstring_runs(n, bound) if runs.count(1) == k)
+    return _count_by_ones(bitstring_runs(n, bound), n)[k]
 
 
 def c_minor_route(n: int, k: int, bound: int = DEFAULT_MINOR_BOUND) -> int:
@@ -212,9 +226,14 @@ def c_minor_route(n: int, k: int, bound: int = DEFAULT_MINOR_BOUND) -> int:
     n = 0 row.
     """
     _check_nk(n, k)
+    return _minor_row(n, bound)[k]
+
+
+def _minor_row(n: int, bound: int) -> list[int]:
     if n == 0:
-        return 1
-    return minor_sums(build_G(n), bound)[n - k]
+        return [1]
+    sums = minor_sums(build_G(n), bound)
+    return [sums[n - k] for k in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -226,44 +245,13 @@ class TriangleRow:
     route: str
 
 
-def _row_bruteforce(n: int, bound: int | None) -> list[int]:
-    counts = [0] * (n + 1)
-    limit = DEFAULT_COMPOSITION_BOUND if bound is None else bound
-    for comp in enumerate_compositions(n, limit):
-        counts[comp.count(1)] += 1
-    return counts
-
-
-def _row_bitstring(n: int, bound: int | None) -> list[int]:
-    counts = [0] * (n + 1)
-    limit = DEFAULT_COMPOSITION_BOUND if bound is None else bound
-    for runs in bitstring_runs(n, limit):
-        counts[runs.count(1)] += 1
-    return counts
-
-
-def _row_formula(n: int, bound: int | None) -> list[int]:
-    return [c_formula(n, k) for k in range(n + 1)]
-
-
-def _row_recurrence(n: int, bound: int | None) -> list[int]:
-    return [c_recurrence(n, k) for k in range(n + 1)]
-
-
-def _row_minors(n: int, bound: int | None) -> list[int]:
-    if n == 0:
-        return [1]
-    limit = DEFAULT_MINOR_BOUND if bound is None else bound
-    sums = minor_sums(build_G(n), limit)
-    return [sums[n - k] for k in range(n + 1)]
-
-
+# route -> (n, enumeration cap) -> row n; the recurrence route fills its
+# whole table at once instead
 _ROW_BUILDERS = {
-    "bruteforce": _row_bruteforce,
-    "formula": _row_formula,
-    "recurrence": _row_recurrence,
-    "bitstring": _row_bitstring,
-    "minors": _row_minors,
+    "bruteforce": lambda n, bound: _count_by_ones(enumerate_compositions(n, bound), n),
+    "formula": lambda n, bound: [c_formula(n, k) for k in range(n + 1)],
+    "bitstring": lambda n, bound: _count_by_ones(bitstring_runs(n, bound), n),
+    "minors": _minor_row,
 }
 
 
@@ -275,17 +263,20 @@ def triangle(
     ``bound`` overrides the enumeration cap of the brute-force routes;
     resource errors from a route propagate unchanged.
     """
-    if route not in _ROW_BUILDERS:
+    if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; choose one of {ROUTES}")
     if n_max < 0:
         raise ValueError(f"row bound must be >= 0, got {n_max}")
     # refuse up front rather than after computing the rows below the cap
     if route in ("bruteforce", "bitstring"):
-        _check_target(n_max, DEFAULT_COMPOSITION_BOUND if bound is None else bound)
+        bound = DEFAULT_COMPOSITION_BOUND if bound is None else bound
+        _check_target(n_max, bound)
     elif route == "minors":
-        check_minor_bound(n_max, DEFAULT_MINOR_BOUND if bound is None else bound)
-    builder = _ROW_BUILDERS[route]
-    return [
-        TriangleRow(n=n, values=tuple(builder(n, bound)), route=route)
-        for n in range(n_max + 1)
-    ]
+        bound = DEFAULT_MINOR_BOUND if bound is None else bound
+        check_minor_bound(n_max, bound)
+    if route == "recurrence":
+        rows = _recurrence_rows(range(n_max + 1, 0, -1))
+        table = [[rows[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
+    else:
+        table = [_ROW_BUILDERS[route](n, bound) for n in range(n_max + 1)]
+    return [TriangleRow(n=n, values=tuple(row), route=route) for n, row in enumerate(table)]

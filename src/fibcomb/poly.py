@@ -95,14 +95,11 @@ class IntPolynomial:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        # most entries of a Hessenberg matrix are zero: skip convolve's
+        # zero-filled output for them
         if not a or not b:
             return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return IntPolynomial(convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 

@@ -16,15 +16,22 @@ and reports a concrete counterexample on the first disagreement.  Suites:
 * ``compositions`` - the five triangle routes against each other and the
                      structural row properties.
 
-``run_compositions(variant="wrong-index")`` instead runs the deliberate
-counterexample demonstrating that shifting the tuple-sum constraint from
-n-2k-1 to n-2k+1 breaks the count at (n, k) = (3, 1) with 5 vs 2.
+``run_suite("compositions", variant="wrong-index")`` instead runs the
+deliberate counterexample demonstrating that shifting the tuple-sum
+constraint from n-2k-1 to n-2k+1 breaks the count at (n, k) = (3, 1) with
+5 vs 2.
+
+A suite maps each check name to a lazy stream of cases ``(n, k, values)``,
+``values`` mapping a route label to that route's value.  One engine walks a
+check's cases, stops at the first disagreement and times the walk, so all
+of a check's route work falls inside its recorded duration.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .compositions import (
@@ -40,6 +47,7 @@ from .convolved import (
 )
 from .fib import fib, fib_poly, shift_poly
 from .hessenberg import (
+    DEFAULT_MINOR_BOUND,
     HessenbergMatrix,
     adjugate_det_F,
     build_F,
@@ -53,14 +61,7 @@ from .hessenberg import (
     recurrence_term,
 )
 
-SUITE_NAMES = (
-    "thm11",
-    "minors",
-    "charpoly",
-    "identity24",
-    "adjugate",
-    "compositions",
-)
+Case = tuple[int, int | None, dict[str, object]]
 
 
 @dataclass
@@ -79,9 +80,12 @@ class Counterexample:
 
 @dataclass
 class CheckResult:
+    """Outcome of one check; ``duration`` covers all of its route work."""
+
     name: str
     passed: bool
     counterexample: Counterexample | None = None
+    duration: float = 0.0
 
 
 @dataclass
@@ -95,290 +99,168 @@ class VerifyReport:
         return all(check.passed for check in self.checks)
 
 
-def _check(name: str, counterexample: Counterexample | None) -> CheckResult:
-    return CheckResult(name=name, passed=counterexample is None, counterexample=counterexample)
+# Labels that only say where a case is: shown in a counterexample, not compared.
+_POSITION_LABELS = frozenset({"trial", "a1", "i", "j"})
+
+# edge-columns is the one check that is not plain agreement between its routes.
+_TESTS = {"edge-columns": lambda v: v["c(n,0)"] == v["fib(n-1)"] and v["c(n,n)"] == 1}
 
 
-def _timed(suite: str, checks: list[CheckResult], started: float) -> VerifyReport:
-    return VerifyReport(suite=suite, checks=checks, duration=time.perf_counter() - started)
+def _routes_agree(values: dict[str, object]) -> bool:
+    compared = [v for label, v in values.items() if label not in _POSITION_LABELS]
+    return all(v == compared[0] for v in compared[1:])
 
 
-def run_thm11(
-    nmax: int | None = None,
-    bound: int | None = None,
-    seed: int = 0,
-    trials: int = 50,
-    max_order: int = 10,
-) -> VerifyReport:
-    """Determinant values of both families, plus random generic matrices."""
+def _run_check(name: str, cases: Iterable[Case]) -> CheckResult:
+    holds = _TESTS.get(name, _routes_agree)
     started = time.perf_counter()
-    limit = 25 if nmax is None else nmax
-    checks = []
-
-    ce = None
-    for n in range(1, limit + 1):
-        h = build_F(n)
-        expansion, oracle, expected = det(h), det_oracle(h.materialize()), fib(n + 1)
-        if not (expansion == oracle == expected):
-            ce = Counterexample(n, None, {
-                "expansion": expansion, "oracle": oracle, "fibonacci": expected,
-            })
+    counterexample = None
+    for n, k, values in cases:
+        if not holds(values):
+            counterexample = Counterexample(n, k, values)
             break
-    checks.append(_check("det-F-fibonacci", ce))
+    duration = time.perf_counter() - started
+    return CheckResult(name, counterexample is None, counterexample, duration)
 
-    ce = None
+
+def _det_cases(build, index_shift: int, limit: int) -> Iterator[Case]:
     for n in range(1, limit + 1):
-        h = build_G(n)
-        expansion, oracle, expected = det(h), det_oracle(h.materialize()), fib(n - 1)
-        if not (expansion == oracle == expected):
-            ce = Counterexample(n, None, {
-                "expansion": expansion, "oracle": oracle, "fibonacci": expected,
-            })
-            break
-    checks.append(_check("det-G-fibonacci", ce))
+        h = build(n)
+        yield n, None, {"expansion": det(h), "oracle": det_oracle(h.materialize()),
+                        "fibonacci": fib(n + index_shift)}
 
+
+def _random_tables(seed: int) -> Iterator[Case]:
     rng = random.Random(seed)
-    ce = None
-    for trial in range(trials):
-        n = rng.randint(1, max_order)
-        h = HessenbergMatrix(
-            [rng.randint(-3, 3) for _ in range(n - i)] for i in range(n)
-        )
+    for trial in range(50):
+        n = rng.randint(1, 10)
+        h = HessenbergMatrix([rng.randint(-3, 3) for _ in range(n - i)] for i in range(n))
         a1 = rng.randint(-3, 3)
-        iterated = recurrence_term(h, a1)
-        scaled = a1 * det_oracle(h.materialize())
-        if iterated != scaled:
-            ce = Counterexample(n, None, {
-                "trial": trial, "a1": a1,
-                "iterated": iterated, "scaled-determinant": scaled,
-            })
-            break
-    checks.append(_check("random-tables", ce))
-    return _timed("thm11", checks, started)
+        yield n, None, {"trial": trial, "a1": a1, "iterated": recurrence_term(h, a1),
+                        "scaled-determinant": a1 * det_oracle(h.materialize())}
 
 
-def run_minors(nmax: int | None = None, bound: int | None = None) -> VerifyReport:
-    """Brute-force principal-minor sums of F against the convolution series."""
-    started = time.perf_counter()
-    limit = 12 if nmax is None else nmax
-    kwargs = {} if bound is None else {"bound": bound}
-    ce = None
-    for n in range(1, limit + 1):
-        sums = minor_sums(build_F(n), **kwargs)
-        for k in range(n):
-            series = convolved_fib(k + 1, n - k + 1)
-            if sums[n - k] != series:
-                ce = Counterexample(n, k, {
-                    "minor-sums": sums[n - k], "series": series,
-                })
-                break
-        if ce:
-            break
-    return _timed("minors", [_check("minor-sums-are-convolved", ce)], started)
-
-
-def run_charpoly(nmax: int | None = None, bound: int | None = None) -> VerifyReport:
-    """Characteristic-polynomial identities and the binomial route."""
-    started = time.perf_counter()
-    limit = 15 if nmax is None else nmax
-    binom_limit = 40 if nmax is None else nmax
-    checks = []
-
-    ce = None
-    for n in range(1, limit + 1):
-        computed = char_poly(build_F(n))
-        shifted = shift_poly(fib_poly(n + 1))
-        if computed != shifted:
-            ce = Counterexample(n, None, {
-                "char-poly": str(computed), "shifted-fib-poly": str(shifted),
-            })
-            break
-    checks.append(_check("charpoly-equals-shifted-fib-poly", ce))
-
-    ce = None
-    for n in range(1, limit + 1):
-        p = char_poly(build_F(n))
+def _triangle_cases(n_max: int, routes: tuple[str, ...], bound: int | None) -> Iterator[Case]:
+    tables = {route: triangle(n_max, route, bound) for route in routes}
+    for n in range(n_max + 1):
         for k in range(n + 1):
-            expected = (-1) ** (n - k) * convolved_fib(k + 1, n - k + 1)
-            if p.coefficient(k) != expected:
-                ce = Counterexample(n, k, {
-                    "coefficient": p.coefficient(k), "signed-convolved": expected,
-                })
-                break
-        if ce:
-            break
-    checks.append(_check("charpoly-coefficients-are-convolved", ce))
-
-    ce = None
-    for n in range(binom_limit + 1):
-        for k in range(n + 1):
-            binom = convolved_fib_binomial(n, k)
-            series = convolved_fib(k + 1, n - k + 1)
-            if binom != series:
-                ce = Counterexample(n, k, {"binomial": binom, "series": series})
-                break
-        if ce:
-            break
-    checks.append(_check("binomial-route-agrees", ce))
-    return _timed("charpoly", checks, started)
+            yield n, k, {route: rows[n].values[k] for route, rows in tables.items()}
 
 
-def run_identity24(nmax: int | None = None, bound: int | None = None) -> VerifyReport:
-    """The alternating double binomial sum against Fibonacci numbers."""
-    started = time.perf_counter()
-    limit = 40 if nmax is None else nmax
-    ce = None
-    for n in range(limit + 1):
-        total = alternating_sum(n)
-        expected = fib(n + 1)
-        if total != expected:
-            ce = Counterexample(n, None, {
-                "alternating-sum": total, "fibonacci": expected,
-            })
-            break
-    return _timed("identity24", [_check("alternating-sum-is-fibonacci", ce)], started)
+# Each suite takes limit (default index bound -> the bound in force), the
+# enumeration cap and the seed, and returns {check name: lazy cases}.
 
 
-def run_adjugate(nmax: int | None = None, bound: int | None = None) -> VerifyReport:
-    """Closed-form cofactors and the cofactor-matrix determinant."""
-    started = time.perf_counter()
-    adj_limit = 10 if nmax is None else nmax
-    cof_limit = 8 if nmax is None else nmax
-    checks = []
-
-    ce = None
-    for n in range(2, adj_limit + 1):
-        computed = adjugate_det_F(n)
-        expected = fib(n + 1) ** (n - 1)
-        if computed != expected:
-            ce = Counterexample(n, None, {
-                "cofactor-matrix-det": computed, "fibonacci-power": expected,
-            })
-            break
-    checks.append(_check("cofactor-matrix-determinant", ce))
-
-    ce = None
-    for n in range(1, cof_limit + 1):
-        full = build_F(n).materialize()
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                closed = cofactor_F(n, i, j)
-                oracle = dense_cofactor(full, i, j)
-                if closed != oracle:
-                    ce = Counterexample(n, None, {
-                        "i": i, "j": j, "closed-form": closed, "oracle": oracle,
-                    })
-                    break
-            if ce:
-                break
-        if ce:
-            break
-    checks.append(_check("cofactor-closed-form", ce))
-    return _timed("adjugate", checks, started)
+def _thm11(limit, bound, seed):
+    return {
+        "det-F-fibonacci": _det_cases(build_F, 1, limit(25)),
+        "det-G-fibonacci": _det_cases(build_G, -1, limit(25)),
+        "random-tables": _random_tables(seed),
+    }
 
 
-def _compare_rows(
-    name: str, reference: list, others: dict[str, list]
-) -> CheckResult:
-    ce = None
-    for row in reference:
-        for k in range(row.n + 1):
-            values = {row.route: row.values[k]}
-            for label, rows in others.items():
-                if row.n < len(rows):
-                    values[label] = rows[row.n].values[k]
-            if len(set(values.values())) > 1:
-                ce = Counterexample(row.n, k, values)
-                break
-        if ce:
-            break
-    return _check(name, ce)
+def _minors(limit, bound, seed):
+    cap = DEFAULT_MINOR_BOUND if bound is None else bound
+    return {"minor-sums-are-convolved": (
+        (n, k, {"minor-sums": sums[n - k], "series": convolved_fib(k + 1, n - k + 1)})
+        for n in range(1, limit(12) + 1)
+        for sums in [minor_sums(build_F(n), cap)]
+        for k in range(n)
+    )}
 
 
-def run_compositions(
-    nmax: int | None = None,
-    bound: int | None = None,
-    variant: str | None = None,
-) -> VerifyReport:
-    """Five-route agreement on c(n, k) plus structural row checks.
-
-    With ``variant="wrong-index"`` the suite instead demonstrates the
-    documented counterexample of the shifted tuple-sum constraint at
-    (n, k) = (3, 1); that check is expected to fail.
-    """
-    started = time.perf_counter()
-    if variant is not None:
-        if variant != "wrong-index":
-            raise ValueError(f"unknown variant {variant!r}")
-        if nmax is not None and nmax < 3:
-            raise ValueError("the wrong-index demonstration needs nmax >= 3")
-        wrong = c_formula_wrong_index(3, 1)
-        actual = c_bruteforce(3, 1)
-        ce = None
-        if wrong != actual:
-            ce = Counterexample(3, 1, {
-                "formula[wrong-index]": wrong, "bruteforce": actual,
-            })
-        checks = [_check("wrong-index-counterexample", ce)]
-        return _timed("compositions", checks, started)
-
-    route_limit = 18 if nmax is None else nmax
-    minor_limit = min(14, route_limit)
-    struct_limit = 30 if nmax is None else nmax
-    checks = []
-
-    formula_rows = triangle(route_limit, "formula")
-    checks.append(_compare_rows(
-        "route-agreement",
-        formula_rows,
-        {
-            "bruteforce": triangle(route_limit, "bruteforce", bound),
-            "recurrence": triangle(route_limit, "recurrence"),
-            "bitstring": triangle(route_limit, "bitstring", bound),
-        },
-    ))
-    checks.append(_compare_rows(
-        "minor-route-agreement",
-        formula_rows[: minor_limit + 1],
-        {"minors": triangle(minor_limit, "minors", bound)},
-    ))
-
-    ce = None
-    for n in range(1, struct_limit + 1):
-        total = sum(c_formula(n, k) for k in range(n + 1))
-        if total != 2 ** (n - 1):
-            ce = Counterexample(n, None, {"row-sum": total, "power": 2 ** (n - 1)})
-            break
-    checks.append(_check("row-sums", ce))
-
-    ce = None
-    for n in range(struct_limit + 1):
-        left, right = c_formula(n, 0), c_formula(n, n)
-        if left != fib(n - 1) or right != 1:
-            ce = Counterexample(n, None, {
-                "c(n,0)": left, "fib(n-1)": fib(n - 1), "c(n,n)": right,
-            })
-            break
-    checks.append(_check("edge-columns", ce))
-
-    ce = None
-    for n in range(2, struct_limit + 1):
-        value = c_formula(n, n - 1)
-        if value != 0:
-            ce = Counterexample(n, n - 1, {"c(n,n-1)": value, "expected": 0})
-            break
-    checks.append(_check("penultimate-zero", ce))
-    return _timed("compositions", checks, started)
+def _charpoly(limit, bound, seed):
+    return {
+        "charpoly-equals-shifted-fib-poly": (
+            (n, None, {"char-poly": str(char_poly(build_F(n))),
+                       "shifted-fib-poly": str(shift_poly(fib_poly(n + 1)))})
+            for n in range(1, limit(15) + 1)
+        ),
+        "charpoly-coefficients-are-convolved": (
+            (n, k, {"coefficient": p.coefficient(k),
+                    "signed-convolved": (-1) ** (n - k) * convolved_fib(k + 1, n - k + 1)})
+            for n in range(1, limit(15) + 1)
+            for p in [char_poly(build_F(n))]
+            for k in range(n + 1)
+        ),
+        "binomial-route-agrees": (
+            (n, k, {"binomial": convolved_fib_binomial(n, k),
+                    "series": convolved_fib(k + 1, n - k + 1)})
+            for n in range(limit(40) + 1)
+            for k in range(n + 1)
+        ),
+    }
 
 
+def _identity24(limit, bound, seed):
+    return {"alternating-sum-is-fibonacci": (
+        (n, None, {"alternating-sum": alternating_sum(n), "fibonacci": fib(n + 1)})
+        for n in range(limit(40) + 1)
+    )}
+
+
+def _adjugate(limit, bound, seed):
+    return {
+        "cofactor-matrix-determinant": (
+            (n, None, {"cofactor-matrix-det": adjugate_det_F(n),
+                       "fibonacci-power": fib(n + 1) ** (n - 1)})
+            for n in range(2, limit(10) + 1)
+        ),
+        "cofactor-closed-form": (
+            (n, None, {"i": i, "j": j, "closed-form": cofactor_F(n, i, j),
+                       "oracle": dense_cofactor(full, i, j)})
+            for n in range(1, limit(8) + 1)
+            for full in [build_F(n).materialize()]
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        ),
+    }
+
+
+def _compositions(limit, bound, seed):
+    rows = range(limit(30) + 1)
+    return {
+        "route-agreement": _triangle_cases(
+            limit(18), ("formula", "bruteforce", "recurrence", "bitstring"), bound),
+        "minor-route-agreement": _triangle_cases(
+            min(14, limit(18)), ("formula", "minors"), bound),
+        "row-sums": (
+            (n, None, {"row-sum": sum(c_formula(n, k) for k in range(n + 1)),
+                       "power": 2 ** (n - 1)})
+            for n in rows[1:]
+        ),
+        "edge-columns": (
+            (n, None, {"c(n,0)": c_formula(n, 0), "fib(n-1)": fib(n - 1),
+                       "c(n,n)": c_formula(n, n)})
+            for n in rows
+        ),
+        "penultimate-zero": (
+            (n, n - 1, {"c(n,n-1)": c_formula(n, n - 1), "expected": 0}) for n in rows[2:]
+        ),
+    }
+
+
+def _wrong_index(limit, bound, seed):
+    if limit(3) < 3:
+        raise ValueError("the wrong-index demonstration needs nmax >= 3")
+    return {"wrong-index-counterexample": (
+        (n, k, {"formula[wrong-index]": c_formula_wrong_index(n, k),
+                "bruteforce": c_bruteforce(n, k)})
+        for n, k in [(3, 1)]
+    )}
+
+
+# (suite name, variant) -> suite
 _SUITES = {
-    "thm11": run_thm11,
-    "minors": run_minors,
-    "charpoly": run_charpoly,
-    "identity24": run_identity24,
-    "adjugate": run_adjugate,
-    "compositions": run_compositions,
+    ("thm11", None): _thm11,
+    ("minors", None): _minors,
+    ("charpoly", None): _charpoly,
+    ("identity24", None): _identity24,
+    ("adjugate", None): _adjugate,
+    ("compositions", None): _compositions,
+    ("compositions", "wrong-index"): _wrong_index,
 }
+SUITE_NAMES = tuple(name for name, variant in _SUITES if variant is None)
 
 
 def run_suite(
@@ -389,15 +271,20 @@ def run_suite(
     variant: str | None = None,
 ) -> VerifyReport:
     """Run one suite by name; ``variant`` is only valid for compositions."""
-    if name not in _SUITES:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose one of {SUITE_NAMES}")
     if variant is not None and name != "compositions":
         raise ValueError("--variant applies to the compositions suite only")
-    if name == "thm11":
-        return run_thm11(nmax=nmax, bound=bound, seed=seed)
-    if name == "compositions":
-        return run_compositions(nmax=nmax, bound=bound, variant=variant)
-    return _SUITES[name](nmax=nmax, bound=bound)
+    if (name, variant) not in _SUITES:
+        raise ValueError(f"unknown variant {variant!r}")
+    started = time.perf_counter()
+
+    def limit(default: int) -> int:
+        return default if nmax is None else nmax
+
+    cases = _SUITES[name, variant](limit, bound, seed)
+    checks = [_run_check(check, check_cases) for check, check_cases in cases.items()]
+    return VerifyReport(name, checks, time.perf_counter() - started)
 
 
 def run_all(

@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from fibcomb.cli import main
+from fibcomb.fib import fib
 
 
 def run(capsys, *argv):
@@ -110,3 +113,19 @@ def test_unknown_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="no int-to-str digit limit before Python 3.10.7",
+)
+def test_fib_prints_values_over_the_int_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "fib", "25000")
+    assert (code, err, len(out)) == (0, "", 5226)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{fib(25000)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -103,8 +103,14 @@ def test_recurrence_examples():
         c_recurrence(2, 3)
 
 
+def test_recurrence_has_no_recursion_depth_limit():
+    # the diagonal is k levels deep; a recursive route overflows the stack here
+    assert c_recurrence(1100, 1100) == 1
+    assert c_recurrence(1101, 1100) == 0
+
+
 def test_recurrence_matches_formula():
-    for n in range(31):
+    for n in [*range(31), 60]:
         for k in range(n + 1):
             assert c_recurrence(n, k) == c_formula(n, k)
 

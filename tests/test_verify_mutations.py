@@ -1,0 +1,111 @@
+"""Mutation tests for the verification engine.
+
+Each case breaks one route, as seen from ``fibcomb.verify``, by one and
+asserts that the check built on that route fails where it first can, with
+the same counterexample labels the report has always printed.  The
+acceptance tests only see checks pass; these show that a check which
+passes would have caught a wrong route.
+"""
+
+import pytest
+
+from fibcomb import verify
+from fibcomb.compositions import TriangleRow, c_formula, triangle
+
+
+def off_by_one(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) + 1
+
+
+def rows_off_by_one(route):
+    # triangle() with every value of one route's rows one too high
+    def mutant(n_max, name, bound=None):
+        rows = triangle(n_max, name, bound)
+        if name != route:
+            return rows
+        return [TriangleRow(row.n, tuple(v + 1 for v in row.values), name) for row in rows]
+
+    return mutant
+
+
+MUTATIONS = [
+    # suite, check, route replaced (mutants wrap the unpatched route), mutant,
+    # (n, k) of the counterexample, labels
+    ("thm11", "det-F-fibonacci", "det",
+     off_by_one(verify.det), (1, None),
+     ("expansion", "oracle", "fibonacci")),
+    ("thm11", "det-G-fibonacci", "det_oracle",
+     off_by_one(verify.det_oracle), (1, None),
+     ("expansion", "oracle", "fibonacci")),
+    ("thm11", "random-tables", "recurrence_term",
+     off_by_one(verify.recurrence_term), (7, None),
+     ("trial", "a1", "iterated", "scaled-determinant")),
+    ("minors", "minor-sums-are-convolved", "convolved_fib",
+     off_by_one(verify.convolved_fib), (1, 0),
+     ("minor-sums", "series")),
+    ("charpoly", "charpoly-equals-shifted-fib-poly", "shift_poly",
+     off_by_one(verify.shift_poly), (1, None),
+     ("char-poly", "shifted-fib-poly")),
+    ("charpoly", "charpoly-coefficients-are-convolved", "char_poly",
+     off_by_one(verify.char_poly), (1, 0),
+     ("coefficient", "signed-convolved")),
+    ("charpoly", "binomial-route-agrees", "convolved_fib_binomial",
+     off_by_one(verify.convolved_fib_binomial), (0, 0),
+     ("binomial", "series")),
+    ("identity24", "alternating-sum-is-fibonacci", "alternating_sum",
+     off_by_one(verify.alternating_sum), (0, None),
+     ("alternating-sum", "fibonacci")),
+    ("adjugate", "cofactor-matrix-determinant", "adjugate_det_F",
+     off_by_one(verify.adjugate_det_F), (2, None),
+     ("cofactor-matrix-det", "fibonacci-power")),
+    ("adjugate", "cofactor-closed-form", "cofactor_F",
+     off_by_one(verify.cofactor_F), (1, None),
+     ("i", "j", "closed-form", "oracle")),
+    ("compositions", "route-agreement", "triangle",
+     rows_off_by_one("recurrence"), (0, 0),
+     ("formula", "bruteforce", "recurrence", "bitstring")),
+    ("compositions", "minor-route-agreement", "triangle",
+     rows_off_by_one("minors"), (0, 0),
+     ("formula", "minors")),
+    ("compositions", "row-sums", "c_formula",
+     off_by_one(verify.c_formula), (1, None),
+     ("row-sum", "power")),
+    ("compositions", "edge-columns", "fib",
+     off_by_one(verify.fib), (0, None),
+     ("c(n,0)", "fib(n-1)", "c(n,n)")),
+    ("compositions", "penultimate-zero", "c_formula",
+     off_by_one(verify.c_formula), (2, 1),
+     ("c(n,n-1)", "expected")),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, check, route, mutant, where, labels",
+    MUTATIONS,
+    ids=[f"{suite}/{check}" for suite, check, *_ in MUTATIONS],
+)
+def test_a_route_off_by_one_fails_its_check(
+    monkeypatch, suite, check, route, mutant, where, labels
+):
+    monkeypatch.setattr(verify, route, mutant)
+    result = {c.name: c for c in verify.run_suite(suite, nmax=6).checks}[check]
+    assert not result.passed
+    ce = result.counterexample
+    assert (ce.n, ce.k) == where
+    assert tuple(ce.values) == labels
+
+
+def test_wrong_index_reports_whatever_the_routes_compute(monkeypatch):
+    monkeypatch.setattr(verify, "c_bruteforce", off_by_one(verify.c_bruteforce))
+    (result,) = verify.run_suite("compositions", variant="wrong-index").checks
+    assert not result.passed
+    assert (result.counterexample.n, result.counterexample.k) == (3, 1)
+    assert result.counterexample.values == {"formula[wrong-index]": 5, "bruteforce": 3}
+
+
+def test_wrong_index_passes_once_the_index_is_right(monkeypatch):
+    # the demonstration fails because of the shifted index, not the engine
+    monkeypatch.setattr(verify, "c_formula_wrong_index", c_formula)
+    (result,) = verify.run_suite("compositions", variant="wrong-index").checks
+    assert result.passed
+    assert result.counterexample is None
