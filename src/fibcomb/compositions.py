@@ -3,8 +3,11 @@
 Five independent routes compute the same triangle (OEIS A105422):
 
 * ``c_bruteforce``   - enumerate all 2^(n-1) compositions and count;
-* ``c_formula``      - coefficient extraction from powers of the series
-                       G(x) = 1 + x^2/(1 - x - x^2);
+* ``c_formula``      - the explicit formula in convolved Fibonacci numbers:
+                       G(x) = 1 + x^2/(1 - x - x^2) = (1 - x)/(1 - x - x^2),
+                       so c(n, k), the coefficient of x^(n-k) in G(x)^(k+1),
+                       is a signed binomial sum over row k+1 of the convolved
+                       table;
 * ``c_recurrence``   - bottom-up recurrence peeling off the first part equal
                        to 1;
 * ``bitstring_singles_oracle`` - count bit strings that start with 0 and
@@ -22,7 +25,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import prod
 
-from .fib import fib
+from .convolved import convolved_table
+from .fib import binomial, fib
 from .hessenberg import (
     DEFAULT_MINOR_BOUND,
     EnumerationBoundError,
@@ -99,22 +103,25 @@ def _ones_series(length: int) -> list[int]:
 
 
 def _ones_power_coefficient(n: int, k: int, shift: int) -> int:
-    # coefficient of x^(n-k+shift) in G(x)^(k+1), by k truncated convolutions
+    # coefficient of x^top, top = n-k+shift, in G(x)^(k+1), which is
+    # (1-x)^(k+1) times row k+1 of the convolved table
     _check_nk(n, k)
-    length = n - k + shift + 1
-    g = _ones_series(length)
-    series = g[:]
-    for _ in range(k):
-        series = convolve(series, g, length)
-    return series[length - 1]
+    top = n - k + shift
+    row = convolved_table(k + 1, top + 1)[k]
+    return sum(
+        (-1) ** j * binomial(k + 1, j) * row[top - j] for j in range(min(k + 1, top) + 1)
+    )
 
 
 def c_formula(n: int, k: int) -> int:
-    """c(n, k) as the coefficient of x^(n-k) in G(x)^(k+1).
+    """c(n, k) by the explicit formula in convolved Fibonacci numbers.
 
+    c(n, k) = sum over j of (-1)^j * C(k+1, j) * convolved_fib(k+1, n-k-j+1),
+    the coefficient of x^(n-k) in G(x)^(k+1) = (1-x)^(k+1) / (1-x-x^2)^(k+1).
     Equivalent to summing fib(j_1)*...*fib(j_{k+1}) over tuples with every
-    j_t >= -1 and j_1+...+j_{k+1} = n-2k-1, but costs k truncated
-    convolutions instead of an exponential tuple scan.
+    j_t >= -1 and j_1+...+j_{k+1} = n-2k-1, but costs one (k+1)-row
+    convolved table, O(k * (n-k)) additions, instead of an exponential
+    tuple scan.
     """
     return _ones_power_coefficient(n, k, 0)
 
@@ -151,16 +158,14 @@ def c_formula_wrong_index(n: int, k: int) -> int:
 def _recurrence_rows(widths: Iterable[int]) -> list[list[int]]:
     # rows[j][d] = c(j + d, j) for d < widths[j] (widths must not grow).  Split
     # at the first part equal to 1: a 1-free prefix summing to s + 1 (fib(s)
-    # of them), the 1, then n - s - 2 with one 1 fewer.  Base c(m, 0) = fib(m-1).
+    # of them), the 1, then n - s - 2 with one 1 fewer, so
+    # c(j + d, j) = sum over s of fib(s) * c(j + d - s - 2, j - 1): row j is
+    # row j - 1 convolved with fib(s), s >= -1.  Base c(m, 0) = fib(m-1).
     widths = list(widths)
     fibs = _ones_series(widths[0])  # fibs[s + 1] = fib(s)
     rows = [fibs]
     for width in widths[1:]:
-        prev = rows[-1]
-        rows.append([
-            sum(fibs[s + 1] * prev[d - s - 1] for s in range(-1, d))
-            for d in range(width)
-        ])
+        rows.append(convolve(fibs, rows[-1], width))
     return rows
 
 

@@ -8,7 +8,10 @@ itself.  Row r = 1 is the Fibonacci sequence.  The same numbers fall out of
 * sums of principal minors of the build_F matrices
   (``convolved_fib_minor_route``),
 
-which lets each route act as a check on the others.
+which lets each route act as a check on the others.  ``convolved_series``
+keeps the convolution definition; a whole table (``convolved_table``) comes
+from the linear row recurrence of (1 - x - x^2)^(-r) instead, and is checked
+against both the series and the binomial sum.
 """
 
 from __future__ import annotations
@@ -44,13 +47,21 @@ def convolved_fib(r: int, m: int) -> int:
 
 
 def convolved_table(r_max: int, m_max: int) -> list[list[int]]:
-    """Rows r = 1..r_max of convolved Fibonacci numbers, m = 1..m_max each."""
+    """Rows r = 1..r_max of convolved Fibonacci numbers, m = 1..m_max each.
+
+    (1 - x - x^2) A_r(x) = A_(r-1)(x) gives each row from the one above in
+    O(m_max) additions: a[r][i] = a[r-1][i] + a[r][i-1] + a[r][i-2].
+    """
     if r_max < 1 or m_max < 1:
         raise ValueError("table bounds must be >= 1")
-    base = [fib(i + 1) for i in range(m_max)]
-    table = [base[:]]
+    table = [[fib(i + 1) for i in range(m_max)]]
     for _ in range(r_max - 1):
-        table.append(convolve(table[-1], base, m_max))
+        row = []
+        before, last = 0, 0  # a[r][i-2], a[r][i-1]
+        for above in table[-1]:
+            before, last = last, above + last + before
+            row.append(last)
+        table.append(row)
     return table
 
 

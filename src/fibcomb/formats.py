@@ -43,42 +43,67 @@ def render_grid(grid: Sequence[Sequence[int]], fmt: str = "plain", offset: int =
     raise ValueError(f"unknown format {fmt!r}; choose one of {FORMATS}")
 
 
+def _line_error(number: int, line: str, reason: str) -> ValueError:
+    return ValueError(f"line {number}: {reason}: {line!r}")
+
+
+def _fields_error(number: int, line: str, sep: str | None, width: int) -> ValueError:
+    # for a line that failed to parse: a wrong field count, or a bad field
+    count = len(line.split(sep))
+    reason = f"expected {width} fields, got {count}" if count != width else "non-integer field"
+    return _line_error(number, line, reason)
+
+
 def parse_triangle_csv(text: str) -> list[list[int]]:
     """Invert the triangle CSV renderer; returns each row's values in k order."""
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != TRIANGLE_CSV_HEADER:
-        raise ValueError(f"expected header {TRIANGLE_CSV_HEADER!r}")
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line]
+    number, header = lines[0] if lines else (1, "")
+    if header != TRIANGLE_CSV_HEADER:
+        raise _line_error(number, header, f"expected header {TRIANGLE_CSV_HEADER!r}")
     rows: list[list[int]] = []
-    for line in lines[1:]:
-        n, k, v = (int(field) for field in line.split(","))
+    for number, line in lines[1:]:
+        try:
+            n, k, v = (int(field) for field in line.split(","))
+        except ValueError:
+            raise _fields_error(number, line, ",", 3) from None
         if k == 0:
             if n != len(rows):
-                raise ValueError(f"row {n} out of order at line {line!r}")
+                raise _line_error(number, line, f"row {n} out of order")
             rows.append([])
         if n != len(rows) - 1 or k != len(rows[-1]):
-            raise ValueError(f"entry ({n}, {k}) out of order at line {line!r}")
+            raise _line_error(number, line, f"entry ({n}, {k}) out of order")
         rows[-1].append(v)
     return rows
 
 
 def parse_grid_csv(text: str) -> list[list[int]]:
-    """Invert the headerless grid CSV renderer."""
-    return [
-        [int(field) for field in line.split(",")]
-        for line in text.splitlines()
-        if line
-    ]
+    """Invert the headerless grid CSV renderer; every row has the first row's width."""
+    grid: list[list[int]] = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line:
+            continue
+        try:
+            row = [int(field) for field in line.split(",")]
+        except ValueError:
+            raise _line_error(number, line, "non-integer field") from None
+        if grid and len(row) != len(grid[0]):
+            raise _line_error(number, line, f"expected {len(grid[0])} fields, got {len(row)}")
+        grid.append(row)
+    return grid
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
     """Parse 'index value' lines; indices must be consecutive."""
     pairs: list[tuple[int, int]] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
-        idx_str, value_str = line.split()
-        pairs.append((int(idx_str), int(value_str)))
-    for pos, (idx, _) in enumerate(pairs):
-        if idx != pairs[0][0] + pos:
-            raise ValueError(f"non-consecutive index {idx} at position {pos}")
+        try:
+            idx_str, value_str = line.split()
+            idx, value = int(idx_str), int(value_str)
+        except ValueError:
+            raise _fields_error(number, line, None, 2) from None
+        if pairs and idx != pairs[-1][0] + 1:
+            raise _line_error(number, line, f"index {idx} does not follow {pairs[-1][0]}")
+        pairs.append((idx, value))
     return pairs

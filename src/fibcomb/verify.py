@@ -9,7 +9,8 @@ and reports a concrete counterexample on the first disagreement.  Suites:
 * ``minors``       - principal-minor sums of F against the convolution series;
 * ``charpoly``     - characteristic polynomials against shifted Fibonacci
                      polynomials, their coefficients against convolved
-                     numbers, and the binomial route against the series;
+                     numbers, and the binomial route against the series
+                     and the row-recurrence table;
 * ``identity24``   - the alternating double binomial sum against Fibonacci;
 * ``adjugate``     - closed-form cofactors against oracle minors and the
                      cofactor-matrix determinant against fib(n+1)^(n-1);
@@ -44,6 +45,7 @@ from .convolved import (
     alternating_sum,
     convolved_fib,
     convolved_fib_binomial,
+    convolved_table,
 )
 from .fib import fib, fib_poly, shift_poly
 from .hessenberg import (
@@ -147,6 +149,16 @@ def _triangle_cases(n_max: int, routes: tuple[str, ...], bound: int | None) -> I
             yield n, k, {route: rows[n].values[k] for route, rows in tables.items()}
 
 
+def _binomial_cases(n_max: int) -> Iterator[Case]:
+    # a generator, so the table is built inside the check's timing
+    table = convolved_table(n_max + 1, n_max + 1)
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            yield n, k, {"binomial": convolved_fib_binomial(n, k),
+                         "series": convolved_fib(k + 1, n - k + 1),
+                         "table": table[k][n - k]}
+
+
 # Each suite takes limit (default index bound -> the bound in force), the
 # enumeration cap and the seed, and returns {check name: lazy cases}.
 
@@ -183,12 +195,7 @@ def _charpoly(limit, bound, seed):
             for p in [char_poly(build_F(n))]
             for k in range(n + 1)
         ),
-        "binomial-route-agrees": (
-            (n, k, {"binomial": convolved_fib_binomial(n, k),
-                    "series": convolved_fib(k + 1, n - k + 1)})
-            for n in range(limit(40) + 1)
-            for k in range(n + 1)
-        ),
+        "binomial-route-agrees": _binomial_cases(limit(40)),
     }
 
 

@@ -186,6 +186,11 @@ def test_triangle_routes_agree():
         assert [row.values for row in triangle(9, route=route)] == reference
 
 
+def test_formula_and_recurrence_triangles_agree_to_row_80():
+    formula, recurrence = triangle(80), triangle(80, "recurrence")
+    assert [row.values for row in formula] == [row.values for row in recurrence]
+
+
 def test_triangle_row_sums():
     for row in triangle(30)[1:]:
         assert sum(row.values) == 2 ** (row.n - 1)

@@ -49,6 +49,20 @@ def test_table_matches_pointwise_values():
             assert value == convolved_fib(r, m)
 
 
+def test_table_rows_equal_the_convolution_series():
+    for m in (1, 2, 3, 60):
+        for r in range(1, 13):
+            assert convolved_table(r, m) == [convolved_series(q, m) for q in range(1, r + 1)]
+
+
+def test_large_table_matches_the_binomial_route():
+    table = convolved_table(100, 1000)
+    assert len(table) == 100 and all(len(row) == 1000 for row in table)
+    for r in (1, 2, 3, 17, 50, 99, 100):
+        for m in (1, 2, 3, 10, 333, 999, 1000):
+            assert table[r - 1][m - 1] == convolved_fib_binomial(m + r - 2, r - 1)
+
+
 def test_table_rejects_empty_bounds():
     with pytest.raises(ValueError):
         convolved_table(0, 5)

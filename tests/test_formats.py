@@ -75,3 +75,22 @@ def test_bfile_parser_requires_consecutive_indices():
     assert parse_bfile("0 5\n1 7\n") == [(0, 5), (1, 7)]
     with pytest.raises(ValueError):
         parse_bfile("0 5\n2 7\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_bfile, "0 5\n\n1 7 9\n", "line 3: expected 2 fields, got 3: '1 7 9'"),
+        (parse_bfile, "0 5\n1 x7\n", "line 2: non-integer field: '1 x7'"),
+        (parse_triangle_csv, "n,k,value\n0,0,1\n1,0\n", "line 3: expected 3 fields, got 2: '1,0'"),
+        (parse_triangle_csv, "n,k,value\n0,0,one\n", "line 2: non-integer field: '0,0,one'"),
+        (parse_grid_csv, "1,1,2\n1,2\n", "line 2: expected 3 fields, got 2: '1,2'"),
+        (parse_grid_csv, "1,1\n\n1,2.5\n", "line 3: non-integer field: '1,2.5'"),
+    ],
+    ids=["bfile-fields", "bfile-integer", "triangle-fields", "triangle-integer",
+         "grid-fields", "grid-integer"],
+)
+def test_parsers_name_the_bad_line(parse, text, message):
+    with pytest.raises(ValueError) as error:
+        parse(text)
+    assert str(error.value) == message

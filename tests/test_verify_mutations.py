@@ -17,6 +17,10 @@ def off_by_one(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + 1
 
 
+def table_off_by_one(fn):
+    return lambda *args: [[v + 1 for v in row] for row in fn(*args)]
+
+
 def rows_off_by_one(route):
     # triangle() with every value of one route's rows one too high
     def mutant(n_max, name, bound=None):
@@ -51,7 +55,10 @@ MUTATIONS = [
      ("coefficient", "signed-convolved")),
     ("charpoly", "binomial-route-agrees", "convolved_fib_binomial",
      off_by_one(verify.convolved_fib_binomial), (0, 0),
-     ("binomial", "series")),
+     ("binomial", "series", "table")),
+    ("charpoly", "binomial-route-agrees", "convolved_table",
+     table_off_by_one(verify.convolved_table), (0, 0),
+     ("binomial", "series", "table")),
     ("identity24", "alternating-sum-is-fibonacci", "alternating_sum",
      off_by_one(verify.alternating_sum), (0, None),
      ("alternating-sum", "fibonacci")),
@@ -79,11 +86,14 @@ MUTATIONS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "suite, check, route, mutant, where, labels",
-    MUTATIONS,
-    ids=[f"{suite}/{check}" for suite, check, *_ in MUTATIONS],
-)
+# a check's first mutation is named suite/check, any further one adds its route
+IDS = [
+    f"{suite}/{check}" + (f"/{route}" if (suite, check) in [m[:2] for m in MUTATIONS[:i]] else "")
+    for i, (suite, check, route, *_) in enumerate(MUTATIONS)
+]
+
+
+@pytest.mark.parametrize("suite, check, route, mutant, where, labels", MUTATIONS, ids=IDS)
 def test_a_route_off_by_one_fails_its_check(
     monkeypatch, suite, check, route, mutant, where, labels
 ):
