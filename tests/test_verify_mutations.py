@@ -71,6 +71,9 @@ MUTATIONS = [
     ("compositions", "route-agreement", "triangle",
      rows_off_by_one("recurrence"), (0, 0),
      ("formula", "bruteforce", "recurrence", "bitstring")),
+    ("compositions", "route-agreement", "triangle",
+     rows_off_by_one("formula"), (0, 0),
+     ("formula", "bruteforce", "recurrence", "bitstring")),
     ("compositions", "minor-route-agreement", "triangle",
      rows_off_by_one("minors"), (0, 0),
      ("formula", "minors")),
