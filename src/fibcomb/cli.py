@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .compositions import ROUTES, triangle
-from .convolved import convolved_fib, convolved_table
+from .convolved import check_convolved_args, convolved_fib_binomial, convolved_table
 from .fib import fib
 from .formats import FORMATS, render_grid, render_triangle
 from .hessenberg import build_F, build_G, char_poly, det
@@ -76,7 +76,8 @@ def _cmd_convolved(args: argparse.Namespace) -> int:
         grid = convolved_table(args.r, args.m)
         print(render_grid(grid, args.format, args.offset), end="")
     else:
-        print(convolved_fib(args.r, args.m))
+        check_convolved_args(args.r, args.m)
+        print(convolved_fib_binomial(args.m + args.r - 2, args.r - 1))
     return 0
 
 

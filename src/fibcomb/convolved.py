@@ -9,9 +9,14 @@ itself.  Row r = 1 is the Fibonacci sequence.  The same numbers fall out of
   (``convolved_fib_minor_route``),
 
 which lets each route act as a check on the others.  ``convolved_series``
-keeps the convolution definition; a whole table (``convolved_table``) comes
-from the linear row recurrence of (1 - x - x^2)^(-r) instead, and is checked
-against both the series and the binomial sum.
+and ``convolved_fib`` keep the convolution definition (r-1 truncated
+convolutions, O(r·m^2)), and ``verify`` checks the other routes against
+them.  A whole table (``convolved_table``) comes from the linear row
+recurrence of (1 - x - x^2)^(-r) instead, and is checked against both the
+series and the binomial sum.  ``fibcomb convolved R M`` prints one value by
+the binomial sum, ``convolved_fib_binomial(M+R-2, R-1)``: O(M) exact
+binomials, after ``check_convolved_args`` has refused what ``convolved_fib``
+refuses.
 """
 
 from __future__ import annotations
@@ -21,10 +26,21 @@ from .hessenberg import DEFAULT_MINOR_BOUND, build_F, minor_sums
 from .poly import convolve
 
 
-def convolved_series(r: int, length: int) -> list[int]:
-    """First ``length`` coefficients of (1 - x - x^2)^(-r), exactly."""
+def _check_order(r: int) -> None:
     if r < 1:
         raise ValueError(f"convolution order must be >= 1, got {r}")
+
+
+def check_convolved_args(r: int, m: int) -> None:
+    """Refuse the (r, m) that ``convolved_fib`` refuses, in its order and words."""
+    if m < 1:
+        raise ValueError(f"series index must be >= 1, got {m}")
+    _check_order(r)
+
+
+def convolved_series(r: int, length: int) -> list[int]:
+    """First ``length`` coefficients of (1 - x - x^2)^(-r), exactly."""
+    _check_order(r)
     if length < 0:
         raise ValueError(f"series length must be >= 0, got {length}")
     base = [fib(i + 1) for i in range(length)]
@@ -41,8 +57,7 @@ def convolved_fib(r: int, m: int) -> int:
     with j_1+...+j_r = m-1; order 1 collapses to fib(m), and the first term
     of every row is 1.
     """
-    if m < 1:
-        raise ValueError(f"series index must be >= 1, got {m}")
+    check_convolved_args(r, m)
     return convolved_series(r, m)[m - 1]
 
 

@@ -3,7 +3,13 @@
 Two determinant routes are kept deliberately separate so they count as
 independent evidence:
 
-* ``det`` runs the O(n^2) expansion that the -1 subdiagonal makes possible;
+* ``det`` runs the O(n^2) expansion that the -1 subdiagonal makes possible.
+  It walks the stored rows once: when the determinant d[i] of the leading
+  i x i block is known, row i+1 adds its entries times d[i] to every later
+  column at once.  Trailing zeros of a row are skipped, so ``build_F(n)``,
+  with two nonzero entries per row, costs O(n) products after a C-level
+  scan of its zeros.  ``char_poly`` runs the same walk over polynomial
+  entries.
 * ``det_oracle`` is fraction-free Bareiss elimination on a dense matrix and
   shares no code with ``det``.
 """
@@ -11,7 +17,8 @@ independent evidence:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import combinations
+from itertools import combinations, compress, count, repeat
+from operator import add, mul
 
 from .fib import fib
 from .poly import IntPolynomial
@@ -90,9 +97,7 @@ def build_F(n: int) -> HessenbergMatrix:
     """
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
-    return HessenbergMatrix(
-        tuple(1 if d <= 1 else 0 for d in range(n - i)) for i in range(n)
-    )
+    return HessenbergMatrix(((1, 1) + (0,) * n)[: n - i] for i in range(n))
 
 
 def build_G(n: int) -> HessenbergMatrix:
@@ -102,27 +107,34 @@ def build_G(n: int) -> HessenbergMatrix:
     """
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
-    return HessenbergMatrix(
-        tuple(0 if d == 0 else 1 for d in range(n - i)) for i in range(n)
-    )
+    return HessenbergMatrix((0,) + (1,) * (n - i - 1) for i in range(n))
 
 
-def _expansion_det(n: int, entry, one):
+def _nonzero_prefix(row: tuple) -> tuple:
+    # the row without its trailing zeros, found by a C-level scan
+    zeros = next(compress(count(), reversed(row)), len(row))
+    return row[: len(row) - zeros]
+
+
+def _expansion_det(rows: Sequence[Sequence], one):
     # d[m] is the determinant of the leading m x m block; expanding the last
     # column against the -1 subdiagonal gives d[m] = sum_i entry(i, m) * d[i-1].
-    # Works over any commutative ring whose elements support + and *.
-    d = [one]
-    for m in range(1, n + 1):
-        acc = entry(1, m) * d[0]
-        for i in range(2, m + 1):
-            acc = acc + entry(i, m) * d[i - 1]
-        d.append(acc)
-    return d[n]
+    # rows[i] holds entry(i+1, m) for m = i+1, i+2, ...; a row may stop early,
+    # and the entries it leaves out are zero.  totals[m-1] collects d[m] and is
+    # complete once rows 1..m have added to it.  Works over any commutative
+    # ring whose elements support + and *.
+    d = one
+    totals = [one - one] * len(rows)
+    for i, row in enumerate(rows):
+        end = i + len(row)
+        totals[i:end] = map(add, totals[i:end], map(mul, row, repeat(d)))
+        d = totals[i]
+    return d
 
 
 def det(h: HessenbergMatrix) -> int:
     """Determinant via the O(n^2) subdiagonal expansion (order 0 gives 1)."""
-    return _expansion_det(h.n, h.entry, 1)
+    return _expansion_det([_nonzero_prefix(row) for row in h.rows], 1)
 
 
 def det_oracle(matrix: DenseMatrix) -> int:
@@ -220,15 +232,16 @@ def char_poly(h: HessenbergMatrix) -> IntPolynomial:
 
     Runs the same subdiagonal expansion as ``det`` but over polynomial
     entries: the expansion yields det(H - xI), and the sign flip for odd
-    order converts it.
+    order converts it.  Only each row's diagonal entry and the entries up to
+    its last nonzero one are lifted to polynomials.
     """
     x = IntPolynomial.x()
-
-    def entry(i: int, j: int) -> IntPolynomial:
-        p = IntPolynomial.constant(h.entry(i, j))
-        return p - x if i == j else p
-
-    p = _expansion_det(h.n, entry, IntPolynomial.one())
+    lift = IntPolynomial.constant
+    rows = []
+    for row in h.rows:
+        row = _nonzero_prefix(row) or (0,)  # keeps the diagonal: h[i][i] - x
+        rows.append((lift(row[0]) - x, *map(lift, row[1:])))
+    p = _expansion_det(rows, IntPolynomial.one())
     return -p if h.n % 2 else p
 
 

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from fibcomb.cli import main
+from fibcomb.convolved import convolved_fib
 from fibcomb.fib import fib
 
 
@@ -28,6 +29,24 @@ def test_fib_usage_error(capsys):
 def test_convolved_single_values(capsys):
     assert run(capsys, "convolved", "1", "7")[:2] == (0, "13\n")
     assert run(capsys, "convolved", "3", "3")[:2] == (0, "9\n")
+
+
+def test_convolved_value_matches_the_series_definition(capsys):
+    # the command prints the binomial sum; convolved_fib convolves series
+    for r in range(1, 13):
+        for m in range(1, 61):
+            assert run(capsys, "convolved", str(r), str(m)) == (
+                0, f"{convolved_fib(r, m)}\n", ""), (r, m)
+
+
+def test_convolved_value_usage_errors(capsys):
+    # the index is checked before the order, as convolved_fib checks them
+    assert run(capsys, "convolved", "0", "3") == (
+        2, "", "error: convolution order must be >= 1, got 0\n")
+    assert run(capsys, "convolved", "2", "0") == (
+        2, "", "error: series index must be >= 1, got 0\n")
+    assert run(capsys, "convolved", "0", "0") == (
+        2, "", "error: series index must be >= 1, got 0\n")
 
 
 def test_convolved_table_csv_rows(capsys):

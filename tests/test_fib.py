@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from fibcomb.fib import binomial, fib, fib_poly, fib_poly_explicit, shift_poly
 from fibcomb.poly import IntPolynomial
@@ -26,6 +26,28 @@ def test_rejects_indices_below_minus_one():
 @given(st.integers(1, 200))
 def test_recurrence(n):
     assert fib(n + 1) == fib(n) + fib(n - 1)
+
+
+def _fib_walk():
+    # test-local oracle: fib(-1), fib(0), fib(1), ... by the additive loop
+    cur, nxt = 1, 0
+    while True:
+        yield cur
+        cur, nxt = nxt, cur + nxt
+
+
+def test_fast_doubling_matches_the_additive_loop():
+    for n, expected in zip(range(-1, 100001), _fib_walk()):
+        if n <= 3000 or n in (20000, 100000):
+            assert fib(n) == expected, n
+
+
+@given(st.integers(0, 10**5))
+@settings(max_examples=25, deadline=None)
+def test_doubling_identities(k):
+    a, b = fib(k), fib(k + 1)
+    assert fib(2 * k) == a * (2 * b - a)
+    assert fib(2 * k + 1) == a * a + b * b
 
 
 def test_fib_poly_base_cases():

@@ -50,6 +50,19 @@ def hessenberg_matrices(draw, max_order=7):
 
 
 @st.composite
+def zero_tailed_hessenberg_matrices(draw, max_order=40):
+    # each row keeps a drawn number of leading entries and ends in zeros, as
+    # build_F's rows do; det and char_poly skip those trailing zeros
+    n = draw(st.integers(1, max_order))
+    rows = []
+    for i in range(n):
+        kept = draw(st.integers(0, n - i))
+        head = draw(st.lists(st.integers(-3, 3), min_size=kept, max_size=kept))
+        rows.append(head + [0] * (n - i - kept))
+    return HessenbergMatrix(rows)
+
+
+@st.composite
 def square_matrices(draw, max_order=5):
     n = draw(st.integers(0, max_order))
     return [
@@ -130,7 +143,7 @@ def test_det_G_examples():
 
 
 def test_det_families_match_fibonacci():
-    for n in range(1, 16):
+    for n in [*range(1, 16), 150, 650, 1000]:
         assert det(build_F(n)) == fib(n + 1)
         assert det(build_G(n)) == fib(n - 1)
 
@@ -138,6 +151,26 @@ def test_det_families_match_fibonacci():
 @given(hessenberg_matrices())
 def test_expansion_det_equals_oracle(h):
     assert det(h) == det_oracle(h.materialize())
+
+
+@given(zero_tailed_hessenberg_matrices())
+@settings(max_examples=40, deadline=None)
+def test_expansion_det_equals_oracle_on_zero_tailed_rows(h):
+    assert det(h) == det_oracle(h.materialize())
+
+
+@given(zero_tailed_hessenberg_matrices(max_order=20), st.integers(-3, 3))
+@settings(max_examples=30, deadline=None)
+def test_char_poly_at_t_is_det_of_t_minus_h_on_zero_tailed_rows(h, t):
+    full = h.materialize()
+    shifted = [[t * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(full)]
+    assert char_poly(h)(t) == det_oracle(shifted)
+
+
+def test_order_zero_gives_one():
+    empty = HessenbergMatrix([])
+    assert det(empty) == 1
+    assert char_poly(empty) == 1
 
 
 def test_det_oracle_conventions():
@@ -252,7 +285,7 @@ def test_char_poly_at_zero_recovers_det():
 
 
 def test_char_poly_is_shifted_fibonacci_polynomial():
-    for n in range(1, 13):
+    for n in [*range(1, 13), 200]:
         assert char_poly(build_F(n)) == shift_poly(fib_poly(n + 1))
 
 
