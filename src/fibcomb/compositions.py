@@ -2,7 +2,10 @@
 
 Five independent routes compute the same triangle (OEIS A105422):
 
-* ``c_bruteforce``   - enumerate all 2^(n-1) compositions and count;
+* ``c_bruteforce``   - enumerate all 2^(n-1) compositions and count; the
+                       enumeration steps one parts list to its
+                       lexicographic successor, O(1) amortised list work per
+                       composition plus the tuple it yields;
 * ``c_formula``      - the explicit formula in convolved Fibonacci numbers:
                        G(x) = 1 + x^2/(1 - x - x^2) = (1 - x)/(1 - x - x^2),
                        so c(n, k), the coefficient of x^(n-k) in G(x)^(k+1),
@@ -12,7 +15,9 @@ Five independent routes compute the same triangle (OEIS A105422):
 * ``c_recurrence``   - bottom-up recurrence peeling off the first part equal
                        to 1;
 * ``bitstring_singles_oracle`` - count bit strings that start with 0 and
-                       have exactly k maximal runs of length 1;
+                       have exactly k maximal runs of length 1, straight
+                       from each bit pattern: a popcount of adjacent run
+                       boundaries, a few int operations per string;
 * ``c_minor_route``  - brute-force principal-minor sums of build_G(n).
 
 Boundary conventions: c(0, 0) = 1 (the empty composition), and c(m, k) = 0
@@ -75,12 +80,17 @@ def enumerate_compositions(
 
 
 def _compositions(n: int) -> Iterator[Composition]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
+    # lexicographic successor on one parts list, from all ones up to (n,):
+    # drop the last part, add 1 to the new last part and put back the
+    # dropped part less 1 as that many ones
+    parts = [1] * n
+    while True:
+        yield tuple(parts)
+        if len(parts) < 2:
+            return
+        last = parts.pop()
+        parts[-1] += 1
+        parts += [1] * (last - 1)
 
 
 def _count_by_ones(items: Iterator[tuple[int, ...]], n: int) -> list[int]:
@@ -229,6 +239,23 @@ def _bit_runs(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(runs)
 
 
+def _bitstring_row(n: int, bound: int) -> list[int]:
+    # counts[k] = length-n bit strings starting with 0 that have k singles.
+    # Read pattern p < 2^(n-1) as such a string, its top bit the leading 0.
+    # Bit i+1 of d marks a run boundary between bits i and i+1 of p, and
+    # bits 0 and n mark the two ends, so a single is two adjacent marks.
+    _check_target(n, bound)
+    counts = [0] * (n + 1)
+    if n == 0:
+        counts[0] = 1  # the empty string has no runs
+        return counts
+    ends = 1 | 1 << n
+    for p in range(1 << (n - 1)):
+        d = (p ^ (p >> 1)) << 1 | ends
+        counts[(d & (d >> 1)).bit_count()] += 1
+    return counts
+
+
 def bitstring_singles_oracle(
     n: int, k: int, bound: int = DEFAULT_COMPOSITION_BOUND
 ) -> int:
@@ -237,7 +264,7 @@ def bitstring_singles_oracle(
     A single is a maximal run of identical bits with length exactly 1.
     """
     _check_nk(n, k)
-    return _count_by_ones(bitstring_runs(n, bound), n)[k]
+    return _bitstring_row(n, bound)[k]
 
 
 def c_minor_route(n: int, k: int, bound: int = DEFAULT_MINOR_BOUND) -> int:
@@ -278,7 +305,7 @@ def _formula_row(n: int, bound: int | None) -> list[int]:
 _ROW_BUILDERS = {
     "bruteforce": lambda n, bound: _count_by_ones(enumerate_compositions(n, bound), n),
     "formula": _formula_row,
-    "bitstring": lambda n, bound: _count_by_ones(bitstring_runs(n, bound), n),
+    "bitstring": _bitstring_row,
     "minors": _minor_row,
 }
 

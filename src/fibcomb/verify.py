@@ -45,6 +45,7 @@ from .convolved import (
     alternating_sum,
     convolved_fib,
     convolved_fib_binomial,
+    convolved_series,
     convolved_table,
 )
 from .fib import fib, fib_poly, shift_poly
@@ -82,12 +83,20 @@ class Counterexample:
 
 @dataclass
 class CheckResult:
-    """Outcome of one check; ``duration`` covers all of its route work."""
+    """Outcome of one check; ``duration`` covers all of its route work.
+
+    ``cases`` counts the cases compared (the failing one included), and
+    ``max_n``/``max_k`` are the largest indices among them (None when no case
+    carries one).
+    """
 
     name: str
     passed: bool
     counterexample: Counterexample | None = None
     duration: float = 0.0
+    cases: int = 0
+    max_n: int | None = None
+    max_k: int | None = None
 
 
 @dataclass
@@ -117,12 +126,18 @@ def _run_check(name: str, cases: Iterable[Case]) -> CheckResult:
     holds = _TESTS.get(name, _routes_agree)
     started = time.perf_counter()
     counterexample = None
+    count, max_n, max_k = 0, None, None
     for n, k, values in cases:
+        count += 1
+        max_n = n if max_n is None else max(max_n, n)
+        if k is not None:
+            max_k = k if max_k is None else max(max_k, k)
         if not holds(values):
             counterexample = Counterexample(n, k, values)
             break
     duration = time.perf_counter() - started
-    return CheckResult(name, counterexample is None, counterexample, duration)
+    return CheckResult(name, counterexample is None, counterexample, duration,
+                       count, max_n, max_k)
 
 
 def _det_cases(build, index_shift: int, limit: int) -> Iterator[Case]:
@@ -150,12 +165,14 @@ def _triangle_cases(n_max: int, routes: tuple[str, ...], bound: int | None) -> I
 
 
 def _binomial_cases(n_max: int) -> Iterator[Case]:
-    # a generator, so the table is built inside the check's timing
+    # a generator, so the series and the table are built inside the check's
+    # timing; one series per order, not one per entry
+    series = [convolved_series(k + 1, n_max - k + 1) for k in range(n_max + 1)]
     table = convolved_table(n_max + 1, n_max + 1)
     for n in range(n_max + 1):
         for k in range(n + 1):
             yield n, k, {"binomial": convolved_fib_binomial(n, k),
-                         "series": convolved_fib(k + 1, n - k + 1),
+                         "series": series[k][n - k],
                          "table": table[k][n - k]}
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from fibcomb.compositions import (
     TriangleRow,
+    _count_by_ones,
     bitstring_runs,
     bitstring_singles_oracle,
     c_bruteforce,
@@ -41,6 +42,20 @@ def test_compositions_are_valid_and_distinct(n):
     for comp in seen:
         assert sum(comp) == n
         assert all(part >= 1 for part in comp)
+
+
+def _compositions_by_first_part(n):
+    # test-local reference: every first part, then the compositions of the rest
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions_by_first_part(n - first):
+            yield (first, *rest)
+
+
+def test_enumeration_matches_the_recursive_definition():
+    for n in range(17):
+        assert Counter(enumerate_compositions(n)) == Counter(_compositions_by_first_part(n))
 
 
 def test_enumeration_bound():
@@ -141,6 +156,14 @@ def test_bitstring_oracle_examples():
 def test_bitstring_bound():
     with pytest.raises(EnumerationBoundError):
         bitstring_singles_oracle(25, 1)
+
+
+def test_bitstring_row_counts_the_runs():
+    rows = triangle(16, "bitstring")
+    for n in range(17):
+        counts = _count_by_ones(bitstring_runs(n), n)
+        assert rows[n].values == tuple(counts)
+        assert bitstring_singles_oracle(n, n // 2) == counts[n // 2]
 
 
 def test_runs_biject_with_compositions():

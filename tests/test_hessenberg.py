@@ -63,6 +63,17 @@ def zero_tailed_hessenberg_matrices(draw, max_order=40):
 
 
 @st.composite
+def zero_heavy_hessenberg_matrices(draw, max_order=8):
+    # mostly zero entries, so that many principal submatrices have a zero
+    # leading entry or a column with no pivot in the rows above it
+    n = draw(st.integers(1, max_order))
+    entries = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
+    return HessenbergMatrix(
+        draw(st.lists(entries, min_size=n - i, max_size=n - i)) for i in range(n)
+    )
+
+
+@st.composite
 def square_matrices(draw, max_order=5):
     n = draw(st.integers(0, max_order))
     return [
@@ -261,6 +272,29 @@ def test_minor_sums_respects_bound():
     with pytest.raises(EnumerationBoundError):
         minor_sums(build_F(5), bound=4)
     assert len(minor_sums(build_F(5), bound=5)) == 6
+
+
+def _minor_sums_by_subsets(h):
+    # test-local reference: one oracle principal minor per deleted subset
+    sums = [0] * (h.n + 1)
+    for size in range(h.n + 1):
+        for deleted in itertools.combinations(range(1, h.n + 1), size):
+            sums[h.n - size] += principal_minor(h, deleted)
+    return sums
+
+
+@given(zero_heavy_hessenberg_matrices())
+@settings(max_examples=60, deadline=None)
+def test_minor_sums_equal_the_sum_over_every_subset(h):
+    assert minor_sums(h) == _minor_sums_by_subsets(h)
+
+
+@pytest.mark.parametrize("build", [build_F, build_G])
+def test_minor_sums_of_the_families_equal_the_sum_over_every_subset(build):
+    # build_G's zero diagonal stalls the first pivot of every subset
+    for n in range(1, 13):
+        h = build(n)
+        assert minor_sums(h) == _minor_sums_by_subsets(h)
 
 
 # --- characteristic polynomial --------------------------------------------

@@ -17,6 +17,10 @@ def off_by_one(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + 1
 
 
+def series_off_by_one(fn):
+    return lambda *args: [v + 1 for v in fn(*args)]
+
+
 def table_off_by_one(fn):
     return lambda *args: [[v + 1 for v in row] for row in fn(*args)]
 
@@ -29,6 +33,7 @@ def rows_off_by_one(route):
             return rows
         return [TriangleRow(row.n, tuple(v + 1 for v in row.values), name) for row in rows]
 
+    mutant.__name__ = route
     return mutant
 
 
@@ -59,6 +64,9 @@ MUTATIONS = [
     ("charpoly", "binomial-route-agrees", "convolved_table",
      table_off_by_one(verify.convolved_table), (0, 0),
      ("binomial", "series", "table")),
+    ("charpoly", "binomial-route-agrees", "convolved_series",
+     series_off_by_one(verify.convolved_series), (0, 0),
+     ("binomial", "series", "table")),
     ("identity24", "alternating-sum-is-fibonacci", "alternating_sum",
      off_by_one(verify.alternating_sum), (0, None),
      ("alternating-sum", "fibonacci")),
@@ -73,6 +81,12 @@ MUTATIONS = [
      ("formula", "bruteforce", "recurrence", "bitstring")),
     ("compositions", "route-agreement", "triangle",
      rows_off_by_one("formula"), (0, 0),
+     ("formula", "bruteforce", "recurrence", "bitstring")),
+    ("compositions", "route-agreement", "triangle",
+     rows_off_by_one("bruteforce"), (0, 0),
+     ("formula", "bruteforce", "recurrence", "bitstring")),
+    ("compositions", "route-agreement", "triangle",
+     rows_off_by_one("bitstring"), (0, 0),
      ("formula", "bruteforce", "recurrence", "bitstring")),
     ("compositions", "minor-route-agreement", "triangle",
      rows_off_by_one("minors"), (0, 0),
@@ -89,11 +103,20 @@ MUTATIONS = [
 ]
 
 
-# a check's first mutation is named suite/check, any further one adds its route
-IDS = [
-    f"{suite}/{check}" + (f"/{route}" if (suite, check) in [m[:2] for m in MUTATIONS[:i]] else "")
-    for i, (suite, check, route, *_) in enumerate(MUTATIONS)
-]
+def _ids(mutations):
+    # a check's first mutation is named suite/check, any further one adds its
+    # route, and one more that breaks the same route adds the mutant's name
+    ids = []
+    for suite, check, route, mutant, *_ in mutations:
+        name = f"{suite}/{check}"
+        for suffix in (route, mutant.__name__):
+            if name in ids:
+                name += f"/{suffix}"
+        ids.append(name)
+    return ids
+
+
+IDS = _ids(MUTATIONS)
 
 
 @pytest.mark.parametrize("suite, check, route, mutant, where, labels", MUTATIONS, ids=IDS)

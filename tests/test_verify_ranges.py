@@ -1,0 +1,54 @@
+"""What every check of a default ``run_all()`` covers.
+
+A check's duration says how fast it ran; these figures say how much it
+compared.  Pinning them keeps a faster route from passing by quietly
+walking fewer cases or stopping at a smaller index.
+"""
+
+from fibcomb.verify import run_all, run_suite
+
+# suite -> check -> (cases, max_n, max_k)
+RANGES = {
+    "thm11": {
+        "det-F-fibonacci": (25, 25, None),
+        "det-G-fibonacci": (25, 25, None),
+        "random-tables": (50, 10, None),
+    },
+    "minors": {
+        "minor-sums-are-convolved": (78, 12, 11),
+    },
+    "charpoly": {
+        "charpoly-equals-shifted-fib-poly": (15, 15, None),
+        "charpoly-coefficients-are-convolved": (135, 15, 15),
+        "binomial-route-agrees": (861, 40, 40),
+    },
+    "identity24": {
+        "alternating-sum-is-fibonacci": (41, 40, None),
+    },
+    "adjugate": {
+        "cofactor-matrix-determinant": (9, 10, None),
+        "cofactor-closed-form": (204, 8, None),
+    },
+    "compositions": {
+        "route-agreement": (190, 18, 18),
+        "minor-route-agreement": (120, 14, 14),
+        "row-sums": (30, 30, None),
+        "edge-columns": (31, 30, None),
+        "penultimate-zero": (29, 30, 29),
+    },
+}
+
+
+def test_every_check_covers_its_pinned_range():
+    seen = {
+        report.suite: {
+            check.name: (check.cases, check.max_n, check.max_k) for check in report.checks
+        }
+        for report in run_all()
+    }
+    assert seen == RANGES
+
+
+def test_a_failing_check_counts_the_cases_up_to_its_counterexample():
+    (check,) = run_suite("compositions", variant="wrong-index").checks
+    assert (check.cases, check.max_n, check.max_k) == (1, 3, 1)
