@@ -3,13 +3,15 @@
 Two determinant routes are kept deliberately separate so they count as
 independent evidence:
 
-* ``det`` runs the O(n^2) expansion that the -1 subdiagonal makes possible.
-  It walks the stored rows once: when the determinant d[i] of the leading
-  i x i block is known, row i+1 adds its entries times d[i] to every later
-  column at once.  Trailing zeros of a row are skipped, so ``build_F(n)``,
-  with two nonzero entries per row, costs O(n) products after a C-level
-  scan of its zeros.  ``char_poly`` runs the same walk over polynomial
-  entries.
+* ``det`` runs the expansion that the -1 subdiagonal makes possible.  Each
+  row is stored as a head that holds the diagonal and a tail value repeated
+  from there to the row's end.  The expansion walks the rows once: when the
+  determinant d[i] of the leading i x i block is known, row i+1 adds its
+  head times d[i] to the next columns and its tail times d[i] once to a
+  running carry that every later column takes up.  That is O(sum of head
+  lengths) products, O(n) for ``build_F(n)`` and ``build_G(n)``, whose
+  heads hold at most two entries.  ``char_poly`` runs the same walk over
+  polynomial entries.
 * ``det_oracle`` is fraction-free Bareiss elimination on a dense matrix and
   shares no code with ``det``.
 
@@ -17,13 +19,14 @@ independent evidence:
 minors.  It visits all 2^n index subsets in one depth-first walk that
 extends a fraction-free elimination by one row per subset, O(k*n) for a
 k-subset, and shares no code with either determinant route.
-``principal_minor`` runs ``det_oracle`` on one kept submatrix.
+``principal_minor`` runs ``det_oracle`` on one kept submatrix, built from
+the stored rows without the rest of the matrix.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import compress, count, repeat
+from itertools import repeat
 from operator import add, mul
 
 from .fib import fib
@@ -52,8 +55,12 @@ def check_minor_bound(n: int, bound: int = DEFAULT_MINOR_BOUND) -> None:
 class HessenbergMatrix:
     """Square matrix with -1 on the subdiagonal and zeros below it.
 
-    Only the entries on and above the diagonal are stored: ``rows[i]`` holds
-    row i+1 from the diagonal rightward.  Instances are immutable.
+    Only the entries on and above the diagonal are stored, one (head, tail)
+    pair per row: ``rows[i]`` describes row i+1 from the diagonal rightward
+    as the tuple ``head``, which holds at least the diagonal entry, followed
+    by ``tail`` repeated to the row's end.  The head is the shortest that
+    allows this, and ``tail`` is the row's last entry, so equal matrices
+    have equal pairs.  Instances are immutable.
     """
 
     __slots__ = ("n", "rows")
@@ -67,22 +74,33 @@ class HessenbergMatrix:
                     f"row {i + 1} must carry {n - i} upper entries, got {len(row)}"
                 )
         self.n = n
-        self.rows = stored
+        self.rows = tuple(map(_split_row, stored))
+
+    @classmethod
+    def _of_pairs(cls, pairs: Sequence[tuple[tuple, int]]) -> HessenbergMatrix:
+        # pairs already in the form __init__ gives them
+        h = object.__new__(cls)
+        h.n = len(pairs)
+        h.rows = tuple(pairs)
+        return h
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based position (i, j) of the implied full matrix."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"position ({i}, {j}) outside order-{self.n} matrix")
-        if i <= j:
-            return self.rows[i - 1][j - i]
-        if i == j + 1:
-            return -1
-        return 0
+        if i > j:
+            return -1 if i == j + 1 else 0
+        head, tail = self.rows[i - 1]
+        return head[j - i] if j - i < len(head) else tail
 
     def materialize(self) -> list[list[int]]:
         """Full n x n matrix as a fresh list of lists."""
         n = self.n
-        return [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        full = []
+        for i, (head, tail) in enumerate(self.rows):
+            below = [0] * (i - 1) + [-1] if i else []
+            full.append(below + [*head, *repeat(tail, n - i - len(head))])
+        return full
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, HessenbergMatrix):
@@ -96,6 +114,16 @@ class HessenbergMatrix:
         return f"HessenbergMatrix(order={self.n})"
 
 
+def _split_row(row: tuple) -> tuple[tuple, int]:
+    # (shortest head holding the diagonal, the row's last entry) such that
+    # the head followed by repeats of that entry is the row
+    tail = row[-1]
+    end = len(row)
+    while end > 1 and row[end - 1] == tail:
+        end -= 1
+    return row[:end], tail
+
+
 def build_F(n: int) -> HessenbergMatrix:
     """Order-n matrix with 1 on the diagonal and superdiagonal, 0 elsewhere above.
 
@@ -103,7 +131,8 @@ def build_F(n: int) -> HessenbergMatrix:
     """
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
-    return HessenbergMatrix(((1, 1) + (0,) * n)[: n - i] for i in range(n))
+    # a row of one or two entries is all ones, so its tail is 1
+    return HessenbergMatrix._of_pairs([((1, 1), 0)] * (n - 2) + [((1,), 1)] * min(n, 2))
 
 
 def build_G(n: int) -> HessenbergMatrix:
@@ -113,34 +142,43 @@ def build_G(n: int) -> HessenbergMatrix:
     """
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
-    return HessenbergMatrix((0,) + (1,) * (n - i - 1) for i in range(n))
+    # the last row is its diagonal 0 alone, so its tail is 0
+    return HessenbergMatrix._of_pairs([((0,), 1)] * (n - 1) + [((0,), 0)])
 
 
-def _nonzero_prefix(row: tuple) -> tuple:
-    # the row without its trailing zeros, found by a C-level scan
-    zeros = next(compress(count(), reversed(row)), len(row))
-    return row[: len(row) - zeros]
-
-
-def _expansion_det(rows: Sequence[Sequence], one):
+def _expansion_det(rows: Sequence[tuple[Sequence, object]], one):
     # d[m] is the determinant of the leading m x m block; expanding the last
     # column against the -1 subdiagonal gives d[m] = sum_i entry(i, m) * d[i-1].
-    # rows[i] holds entry(i+1, m) for m = i+1, i+2, ...; a row may stop early,
-    # and the entries it leaves out are zero.  totals[m-1] collects d[m] and is
-    # complete once rows 1..m have added to it.  Works over any commutative
-    # ring whose elements support + and *.
+    # rows[i] is the (head, tail) pair of row i+1: entry(i+1, m) is head[m-i-1]
+    # for the first len(head) columns m = i+1, i+2, ... and tail after them.
+    # totals[m-1] collects the head terms of d[m] and is complete once rows
+    # 1..m have added to it.  A tail term tail * d[i] belongs to every column
+    # from its first on, so it is added once, to starts[that column - 1], and
+    # carry, the running sum of starts, holds every tail term of the column
+    # being finished.  Works over any commutative ring whose elements support
+    # + and *.
+    n = len(rows)
+    zero = one - one
     d = one
-    totals = [one - one] * len(rows)
-    for i, row in enumerate(rows):
-        end = i + len(row)
-        totals[i:end] = map(add, totals[i:end], map(mul, row, repeat(d)))
-        d = totals[i]
+    totals = [zero] * n
+    starts = [zero] * (n + 1)  # starts[n] takes the tails that are empty
+    carry = zero
+    for i, (head, tail) in enumerate(rows):
+        end = i + len(head)
+        totals[i:end] = map(add, totals[i:end], map(mul, head, repeat(d)))
+        starts[end] += tail * d
+        carry += starts[i]
+        d = totals[i] + carry
     return d
 
 
 def det(h: HessenbergMatrix) -> int:
-    """Determinant via the O(n^2) subdiagonal expansion (order 0 gives 1)."""
-    return _expansion_det([_nonzero_prefix(row) for row in h.rows], 1)
+    """Determinant via the subdiagonal expansion (order 0 gives 1).
+
+    O(sum of the rows' head lengths) products, so O(n) for ``build_F(n)``
+    and ``build_G(n)``, whose rows are constant after at most two entries.
+    """
+    return _expansion_det(h.rows, 1)
 
 
 def det_oracle(matrix: DenseMatrix) -> int:
@@ -201,6 +239,7 @@ def principal_minor(h: HessenbergMatrix, deleted: Iterable[int]) -> int:
     ``deleted`` holds distinct 1-based indices; deleting all of them leaves the
     empty matrix, whose determinant is 1.  Computed with the oracle, not the
     subdiagonal expansion (the submatrix loses the fixed -1 subdiagonal).
+    Only the kept submatrix is built, from the stored rows.
     """
     drop = list(deleted)
     seen = set(drop)
@@ -209,9 +248,8 @@ def principal_minor(h: HessenbergMatrix, deleted: Iterable[int]) -> int:
     for i in drop:
         if not (1 <= i <= h.n):
             raise ValueError(f"deleted index {i} outside 1..{h.n}")
-    full = h.materialize()
-    kept = [i for i in range(h.n) if i + 1 not in seen]
-    return det_oracle([[full[r][c] for c in kept] for r in kept])
+    kept = [i for i in range(1, h.n + 1) if i not in seen]
+    return det_oracle([[h.entry(r, c) for c in kept] for r in kept])
 
 
 def _bareiss_step(row: list[int], pivot_row: list[int], prev: int) -> list[int]:
@@ -292,15 +330,16 @@ def char_poly(h: HessenbergMatrix) -> IntPolynomial:
 
     Runs the same subdiagonal expansion as ``det`` but over polynomial
     entries: the expansion yields det(H - xI), and the sign flip for odd
-    order converts it.  Only each row's diagonal entry and the entries up to
-    its last nonzero one are lifted to polynomials.
+    order converts it.  Only each row's head, whose first entry becomes the
+    diagonal h[i][i] - x, and its tail are lifted to polynomials, so the
+    walk makes O(sum of head lengths) polynomial products.
     """
     x = IntPolynomial.x()
     lift = IntPolynomial.constant
-    rows = []
-    for row in h.rows:
-        row = _nonzero_prefix(row) or (0,)  # keeps the diagonal: h[i][i] - x
-        rows.append((lift(row[0]) - x, *map(lift, row[1:])))
+    rows = [
+        ((lift(head[0]) - x, *map(lift, head[1:])), lift(tail))
+        for head, tail in h.rows
+    ]
     p = _expansion_det(rows, IntPolynomial.one())
     return -p if h.n % 2 else p
 

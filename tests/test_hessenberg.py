@@ -50,15 +50,16 @@ def hessenberg_matrices(draw, max_order=7):
 
 
 @st.composite
-def zero_tailed_hessenberg_matrices(draw, max_order=40):
-    # each row keeps a drawn number of leading entries and ends in zeros, as
-    # build_F's rows do; det and char_poly skip those trailing zeros
+def constant_tailed_hessenberg_matrices(draw, max_order=40):
+    # each row is a drawn head followed by one drawn value repeated to its
+    # end, as build_F's rows end in zeros and build_G's in ones; det and
+    # char_poly take each tail in one product
     n = draw(st.integers(1, max_order))
     rows = []
     for i in range(n):
         kept = draw(st.integers(0, n - i))
         head = draw(st.lists(st.integers(-3, 3), min_size=kept, max_size=kept))
-        rows.append(head + [0] * (n - i - kept))
+        rows.append(head + [draw(st.integers(-3, 3))] * (n - i - kept))
     return HessenbergMatrix(rows)
 
 
@@ -127,6 +128,35 @@ def test_ragged_upper_table_rejected():
         HessenbergMatrix([[1, 2], [3, 4]])
 
 
+def _upper_rows(full):
+    return [row[i:] for i, row in enumerate(full)]
+
+
+@pytest.mark.parametrize("build", [build_F, build_G])
+def test_families_equal_their_materialized_rows(build):
+    # the builders store their rows directly; the constructor splits full
+    # rows, and both must give the same matrix
+    for n in range(1, 13):
+        h = build(n)
+        rebuilt = HessenbergMatrix(_upper_rows(h.materialize()))
+        assert rebuilt == h
+        assert hash(rebuilt) == hash(h)
+
+
+@given(st.one_of(hessenberg_matrices(), constant_tailed_hessenberg_matrices(max_order=12)))
+@settings(deadline=None)
+def test_materialize_round_trips_and_agrees_with_entry(h):
+    full = h.materialize()
+    assert HessenbergMatrix(_upper_rows(full)) == h
+    n = h.n
+    assert full == [[h.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def test_matrices_with_different_tails_differ():
+    assert HessenbergMatrix([[1, 0], [0]]) != HessenbergMatrix([[1, 1], [0]])
+    assert HessenbergMatrix([[1, 1], [1]]) != HessenbergMatrix([[1, 1], [0]])
+
+
 def test_entry_bounds():
     h = build_F(3)
     with pytest.raises(IndexError):
@@ -159,20 +189,26 @@ def test_det_families_match_fibonacci():
         assert det(build_G(n)) == fib(n - 1)
 
 
+def test_det_families_at_order_20000():
+    # O(n) products for both families, so this takes well under a second
+    assert det(build_G(20000)) == fib(19999)
+    assert det(build_F(20000)) == fib(20001)
+
+
 @given(hessenberg_matrices())
 def test_expansion_det_equals_oracle(h):
     assert det(h) == det_oracle(h.materialize())
 
 
-@given(zero_tailed_hessenberg_matrices())
+@given(constant_tailed_hessenberg_matrices())
 @settings(max_examples=40, deadline=None)
-def test_expansion_det_equals_oracle_on_zero_tailed_rows(h):
+def test_expansion_det_equals_oracle_on_constant_tailed_rows(h):
     assert det(h) == det_oracle(h.materialize())
 
 
-@given(zero_tailed_hessenberg_matrices(max_order=20), st.integers(-3, 3))
+@given(constant_tailed_hessenberg_matrices(max_order=20), st.integers(-3, 3))
 @settings(max_examples=30, deadline=None)
-def test_char_poly_at_t_is_det_of_t_minus_h_on_zero_tailed_rows(h, t):
+def test_char_poly_at_t_is_det_of_t_minus_h_on_constant_tailed_rows(h, t):
     full = h.materialize()
     shifted = [[t * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(full)]
     assert char_poly(h)(t) == det_oracle(shifted)
