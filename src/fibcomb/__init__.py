@@ -5,115 +5,30 @@ headline quantity is available by at least two independently coded routes so
 the routes can verify each other: Fibonacci numbers as Hessenberg
 determinants, convolved Fibonacci numbers, and the triangle counting
 compositions of n by their number of ones (OEIS A105422).
+
+The package exports the value functions, one per quantity a ``fibcomb``
+command prints.  Routes, oracles, bounds and the verification suites are
+imported from their modules: ``fibcomb.compositions``, ``fibcomb.convolved``,
+``fibcomb.fib``, ``fibcomb.hessenberg``, ``fibcomb.poly``,
+``fibcomb.formats`` and ``fibcomb.verify``.
 """
 
-from .compositions import (
-    DEFAULT_COMPOSITION_BOUND,
-    Composition,
-    ROUTES,
-    TriangleRow,
-    bitstring_runs,
-    bitstring_singles_oracle,
-    c_bruteforce,
-    c_formula,
-    c_formula_naive,
-    c_formula_wrong_index,
-    c_minor_route,
-    c_recurrence,
-    enumerate_compositions,
-    triangle,
-)
-from .convolved import (
-    alternating_sum,
-    convolved_fib,
-    convolved_fib_binomial,
-    convolved_fib_minor_route,
-    convolved_series,
-    convolved_table,
-    verify_alternating_identity,
-    verify_charpoly_coefficients,
-)
-from .fib import binomial, fib, fib_poly, fib_poly_explicit, shift_poly
-from .hessenberg import (
-    DEFAULT_MINOR_BOUND,
-    EnumerationBoundError,
-    HessenbergMatrix,
-    adjugate_det_F,
-    build_F,
-    build_G,
-    char_poly,
-    cofactor_F,
-    dense_cofactor,
-    det,
-    det_oracle,
-    minor_sums,
-    principal_minor,
-    recurrence_term,
-    verify_recurrence_determinant,
-)
-from .poly import IntPolynomial, convolve
-from .verify import (
-    CheckResult,
-    Counterexample,
-    SUITE_NAMES,
-    VerifyReport,
-    format_report,
-    run_all,
-    run_suite,
-)
+from .compositions import triangle
+from .convolved import convolved_fib, convolved_table
+from .fib import fib
+from .hessenberg import build_F, build_G, char_poly, det
+from .verify import run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_COMPOSITION_BOUND",
-    "DEFAULT_MINOR_BOUND",
-    "CheckResult",
-    "Composition",
-    "Counterexample",
-    "EnumerationBoundError",
-    "HessenbergMatrix",
-    "IntPolynomial",
-    "ROUTES",
-    "SUITE_NAMES",
-    "TriangleRow",
-    "VerifyReport",
-    "adjugate_det_F",
-    "alternating_sum",
-    "binomial",
-    "bitstring_runs",
-    "bitstring_singles_oracle",
     "build_F",
     "build_G",
-    "c_bruteforce",
-    "c_formula",
-    "c_formula_naive",
-    "c_formula_wrong_index",
-    "c_minor_route",
-    "c_recurrence",
     "char_poly",
-    "cofactor_F",
-    "convolve",
     "convolved_fib",
-    "convolved_fib_binomial",
-    "convolved_fib_minor_route",
-    "convolved_series",
     "convolved_table",
-    "dense_cofactor",
     "det",
-    "det_oracle",
-    "enumerate_compositions",
     "fib",
-    "fib_poly",
-    "fib_poly_explicit",
-    "format_report",
-    "minor_sums",
-    "principal_minor",
-    "recurrence_term",
     "run_all",
-    "run_suite",
-    "shift_poly",
     "triangle",
-    "verify_alternating_identity",
-    "verify_charpoly_coefficients",
-    "verify_recurrence_determinant",
 ]

@@ -33,13 +33,7 @@ from math import prod
 
 from .convolved import convolved_table
 from .fib import fib
-from .hessenberg import (
-    DEFAULT_MINOR_BOUND,
-    EnumerationBoundError,
-    build_G,
-    check_minor_bound,
-    minor_sums,
-)
+from .hessenberg import EnumerationBoundError, build_G, check_minor_bound, minor_sums
 from .poly import convolve
 
 # 2^(n-1) compositions / bit strings per row; refuse targets above this
@@ -51,9 +45,11 @@ Composition = tuple[int, ...]
 ROUTES = ("bruteforce", "formula", "recurrence", "bitstring", "minors")
 
 
-def _check_target(n: int, bound: int) -> None:
+def _check_target(n: int, bound: int | None) -> None:
     if n < 0:
         raise ValueError(f"target must be >= 0, got {n}")
+    if bound is None:
+        bound = DEFAULT_COMPOSITION_BOUND
     if n > bound:
         raise EnumerationBoundError(
             f"target {n} exceeds the enumeration bound {bound} "
@@ -68,9 +64,7 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
 
 
-def enumerate_compositions(
-    n: int, bound: int = DEFAULT_COMPOSITION_BOUND
-) -> Iterator[Composition]:
+def enumerate_compositions(n: int, bound: int | None = None) -> Iterator[Composition]:
     """All ordered tuples of positive parts summing to n, each exactly once.
 
     n = 0 yields the single empty composition; n >= 1 yields 2^(n-1) tuples.
@@ -101,7 +95,7 @@ def _count_by_ones(items: Iterator[tuple[int, ...]], n: int) -> list[int]:
     return counts
 
 
-def c_bruteforce(n: int, k: int, bound: int = DEFAULT_COMPOSITION_BOUND) -> int:
+def c_bruteforce(n: int, k: int, bound: int | None = None) -> int:
     """Count compositions of n with exactly k ones by full enumeration."""
     _check_nk(n, k)
     return _count_by_ones(enumerate_compositions(n, bound), n)[k]
@@ -204,9 +198,7 @@ def c_recurrence(n: int, k: int) -> int:
     return _recurrence_rows([n - k + 1] * (k + 1))[k][n - k]
 
 
-def bitstring_runs(
-    n: int, bound: int = DEFAULT_COMPOSITION_BOUND
-) -> Iterator[tuple[int, ...]]:
+def bitstring_runs(n: int, bound: int | None = None) -> Iterator[tuple[int, ...]]:
     """Run-length tuples of every length-n bit string that starts with 0.
 
     Maximal runs map to composition parts, so this enumerates the
@@ -239,7 +231,7 @@ def _bit_runs(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(runs)
 
 
-def _bitstring_row(n: int, bound: int) -> list[int]:
+def _bitstring_row(n: int, bound: int | None) -> list[int]:
     # counts[k] = length-n bit strings starting with 0 that have k singles.
     # Read pattern p < 2^(n-1) as such a string, its top bit the leading 0.
     # Bit i+1 of d marks a run boundary between bits i and i+1 of p, and
@@ -256,9 +248,7 @@ def _bitstring_row(n: int, bound: int) -> list[int]:
     return counts
 
 
-def bitstring_singles_oracle(
-    n: int, k: int, bound: int = DEFAULT_COMPOSITION_BOUND
-) -> int:
+def bitstring_singles_oracle(n: int, k: int, bound: int | None = None) -> int:
     """Count length-n bit strings starting with 0 that have exactly k singles.
 
     A single is a maximal run of identical bits with length exactly 1.
@@ -267,7 +257,7 @@ def bitstring_singles_oracle(
     return _bitstring_row(n, bound)[k]
 
 
-def c_minor_route(n: int, k: int, bound: int = DEFAULT_MINOR_BOUND) -> int:
+def c_minor_route(n: int, k: int, bound: int | None = None) -> int:
     """c(n, k) as the brute-force sum of order-(n-k) principal minors of build_G(n).
 
     The order-0 empty minor contributes 1, which covers both k = n and the
@@ -277,7 +267,7 @@ def c_minor_route(n: int, k: int, bound: int = DEFAULT_MINOR_BOUND) -> int:
     return _minor_row(n, bound)[k]
 
 
-def _minor_row(n: int, bound: int) -> list[int]:
+def _minor_row(n: int, bound: int | None) -> list[int]:
     if n == 0:
         return [1]
     sums = minor_sums(build_G(n), bound)
@@ -324,10 +314,8 @@ def triangle(
         raise ValueError(f"row bound must be >= 0, got {n_max}")
     # refuse up front rather than after computing the rows below the cap
     if route in ("bruteforce", "bitstring"):
-        bound = DEFAULT_COMPOSITION_BOUND if bound is None else bound
         _check_target(n_max, bound)
     elif route == "minors":
-        bound = DEFAULT_MINOR_BOUND if bound is None else bound
         check_minor_bound(n_max, bound)
     if route == "recurrence":
         rows = _recurrence_rows(range(n_max + 1, 0, -1))

@@ -21,8 +21,8 @@ refuses.
 
 from __future__ import annotations
 
-from .fib import binomial, fib, fib_poly, shift_poly
-from .hessenberg import DEFAULT_MINOR_BOUND, build_F, minor_sums
+from .fib import binomial, fib
+from .hessenberg import build_F, minor_sums
 from .poly import convolve
 
 
@@ -93,9 +93,7 @@ def convolved_fib_binomial(n: int, k: int) -> int:
     )
 
 
-def convolved_fib_minor_route(
-    n: int, k: int, bound: int = DEFAULT_MINOR_BOUND
-) -> int:
+def convolved_fib_minor_route(n: int, k: int, bound: int | None = None) -> int:
     """Brute-force sum of the order-(n-k) principal minors of build_F(n).
 
     Agrees with convolved_fib(k+1, n-k+1); exponential in n, so treat it as
@@ -106,21 +104,6 @@ def convolved_fib_minor_route(
     if not (0 <= k <= n - 1):
         raise ValueError(f"need 0 <= k <= n-1, got n={n}, k={k}")
     return minor_sums(build_F(n), bound)[n - k]
-
-
-def verify_charpoly_coefficients(n: int) -> bool:
-    """Check the expansion of the shifted Fibonacci polynomial of index n+1.
-
-    True iff the coefficient of x^k in fib_poly(n+1) composed with (x-1)
-    equals (-1)^(n-k) * convolved_fib(k+1, n-k+1) for every k = 0..n.
-    """
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    shifted = shift_poly(fib_poly(n + 1))
-    return all(
-        shifted.coefficient(k) == (-1) ** (n - k) * convolved_fib(k + 1, n - k + 1)
-        for k in range(n + 1)
-    )
 
 
 def alternating_sum(n: int) -> int:
@@ -134,7 +117,3 @@ def alternating_sum(n: int) -> int:
             total += sign_pow * binomial(n - i, i) * binomial(n - 2 * i, k)
     return (-1) ** n * total
 
-
-def verify_alternating_identity(n: int) -> bool:
-    """True iff the alternating double sum collapses to fib(n+1)."""
-    return alternating_sum(n) == fib(n + 1)

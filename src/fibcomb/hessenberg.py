@@ -43,8 +43,13 @@ class EnumerationBoundError(ValueError):
     """A brute-force enumeration would exceed its configured resource bound."""
 
 
-def check_minor_bound(n: int, bound: int = DEFAULT_MINOR_BOUND) -> None:
-    """Refuse orders whose 2^n principal-minor enumeration exceeds ``bound``."""
+def check_minor_bound(n: int, bound: int | None = None) -> None:
+    """Refuse orders whose 2^n principal-minor enumeration exceeds ``bound``.
+
+    ``bound=None`` means ``DEFAULT_MINOR_BOUND``.
+    """
+    if bound is None:
+        bound = DEFAULT_MINOR_BOUND
     if n > bound:
         raise EnumerationBoundError(
             f"order {n} exceeds the enumeration bound {bound} "
@@ -263,7 +268,7 @@ def _bareiss_step(row: list[int], pivot_row: list[int], prev: int) -> list[int]:
     return [p * x // prev for x in row]
 
 
-def minor_sums(h: HessenbergMatrix, bound: int = DEFAULT_MINOR_BOUND) -> list[int]:
+def minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[int]:
     """Sums of all principal minors, indexed by minor order 0..n.
 
     Visits every one of the 2^n index subsets, so it is exact by construction
@@ -377,11 +382,3 @@ def recurrence_term(h: HessenbergMatrix, a1: int) -> int:
         values.append(sum(h.entry(i, m) * values[i - 1] for i in range(1, m + 1)))
     return values[-1]
 
-
-def verify_recurrence_determinant(h: HessenbergMatrix, a1: int) -> bool:
-    """Check a_{n+1} == a1 * det(A_n) with the determinant from the oracle.
-
-    The left side iterates the defining recurrence directly, so the two sides
-    are computed by unrelated algorithms.
-    """
-    return recurrence_term(h, a1) == a1 * det_oracle(h.materialize())

@@ -50,7 +50,6 @@ from .convolved import (
 )
 from .fib import fib, fib_poly, shift_poly
 from .hessenberg import (
-    DEFAULT_MINOR_BOUND,
     HessenbergMatrix,
     adjugate_det_F,
     build_F,
@@ -189,11 +188,10 @@ def _thm11(limit, bound, seed):
 
 
 def _minors(limit, bound, seed):
-    cap = DEFAULT_MINOR_BOUND if bound is None else bound
     return {"minor-sums-are-convolved": (
         (n, k, {"minor-sums": sums[n - k], "series": convolved_fib(k + 1, n - k + 1)})
         for n in range(1, limit(12) + 1)
-        for sums in [minor_sums(build_F(n), cap)]
+        for sums in [minor_sums(build_F(n), bound)]
         for k in range(n)
     )}
 
@@ -301,6 +299,8 @@ def run_suite(
         raise ValueError("--variant applies to the compositions suite only")
     if (name, variant) not in _SUITES:
         raise ValueError(f"unknown variant {variant!r}")
+    if nmax is not None and nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     started = time.perf_counter()
 
     def limit(default: int) -> int:

@@ -120,6 +120,15 @@ def test_verify_wrong_index_variant(capsys):
     assert "bruteforce=2" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--nmax", "-1"),
+    ("verify", "--suite", "thm11", "--nmax", "-1"),
+])
+def test_verify_refuses_negative_nmax(capsys, argv):
+    # refused before any suite runs, so no check passes vacuously
+    assert run(capsys, *argv) == (2, "", "error: nmax must be >= 0, got -1\n")
+
+
 def test_variant_requires_compositions_suite(capsys):
     code, _, err = run(
         capsys, "verify", "--suite", "minors", "--variant", "wrong-index"

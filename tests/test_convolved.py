@@ -7,10 +7,8 @@ from fibcomb.convolved import (
     convolved_fib_minor_route,
     convolved_series,
     convolved_table,
-    verify_alternating_identity,
-    verify_charpoly_coefficients,
 )
-from fibcomb.fib import fib
+from fibcomb.fib import fib, fib_poly, shift_poly
 from fibcomb.hessenberg import EnumerationBoundError
 
 
@@ -116,14 +114,19 @@ def test_rows_are_nondecreasing():
 
 
 def test_charpoly_coefficient_expansion_small_cases():
-    # n = 1: x - 1; n = 2: x^2 - 2x + 2
-    assert verify_charpoly_coefficients(1)
-    assert verify_charpoly_coefficients(2)
+    # n = 1: x - 1; n = 2: x^2 - 2x + 2 (coefficients lowest degree first)
+    assert shift_poly(fib_poly(2)).coeffs == (-convolved_fib(1, 2), convolved_fib(2, 1))
+    assert shift_poly(fib_poly(3)).coeffs == (
+        convolved_fib(1, 3), -convolved_fib(2, 2), convolved_fib(3, 1))
 
 
 def test_charpoly_coefficient_expansion_range():
+    # fib_poly(n+1) composed with (x-1) has coefficient
+    # (-1)^(n-k) * convolved_fib(k+1, n-k+1) at x^k
     for n in range(1, 26):
-        assert verify_charpoly_coefficients(n)
+        shifted = shift_poly(fib_poly(n + 1))
+        for k in range(n + 1):
+            assert shifted.coefficient(k) == (-1) ** (n - k) * convolved_fib(k + 1, n - k + 1)
 
 
 def test_alternating_sum_examples():
@@ -133,7 +136,7 @@ def test_alternating_sum_examples():
 
 def test_alternating_identity_range():
     for n in range(41):
-        assert verify_alternating_identity(n)
+        assert alternating_sum(n) == fib(n + 1)
 
 
 def test_alternating_sum_rejects_negative():

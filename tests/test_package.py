@@ -1,0 +1,44 @@
+from importlib import import_module
+
+import fibcomb
+
+# export -> its home module; the attribute fibcomb.fib is the function, so
+# modules are looked up by name
+HOMES = {
+    "build_F": "hessenberg",
+    "build_G": "hessenberg",
+    "char_poly": "hessenberg",
+    "convolved_fib": "convolved",
+    "convolved_table": "convolved",
+    "det": "hessenberg",
+    "fib": "fib",
+    "run_all": "verify",
+    "triangle": "compositions",
+}
+EXPORTS = {name: getattr(import_module(f"fibcomb.{home}"), name) for name, home in HOMES.items()}
+
+
+def test_all_is_the_value_functions():
+    assert sorted(fibcomb.__all__) == sorted(EXPORTS)
+
+
+def test_exports_are_the_module_objects():
+    for name in fibcomb.__all__:
+        assert getattr(fibcomb, name) is EXPORTS[name], name
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from fibcomb import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == EXPORTS
+
+
+def test_readme_library_example():
+    from fibcomb import build_F, char_poly, convolved_fib, det, fib, triangle
+
+    assert det(build_F(10)) == fib(11)
+    assert char_poly(build_F(2)).coeffs == (2, -2, 1)
+    assert convolved_fib(3, 3) == 9
+    assert [row.values for row in triangle(4)] == [
+        (1,), (0, 1), (1, 0, 1), (1, 2, 0, 1), (2, 2, 3, 0, 1)]
