@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_max", type=int)
     p.add_argument("--route", choices=ROUTES, default="formula")
     p.add_argument("--format", choices=FORMATS, default="plain")
-    p.add_argument("--bound", type=int, default=None, help="override the enumeration cap")
+    p.add_argument("--bound", type=int, default=None,
+                   help="override the enumeration cap (bruteforce, bitstring, minors)")
     p.add_argument("--offset", type=int, default=0, help="first index for bfile output")
 
     p = sub.add_parser("det", help="determinant of the order-n F or G matrix")

@@ -1,24 +1,28 @@
 """The triangle c(n, k): compositions of n with exactly k parts equal to 1.
 
-Five independent routes compute the same triangle (OEIS A105422):
+Five independent routes compute the same triangle (OEIS A105422); each is a
+``route`` of ``triangle(n_max, route)``:
 
-* ``c_bruteforce``   - enumerate all 2^(n-1) compositions and count; the
+* ``bruteforce``     - enumerate all 2^(n-1) compositions and count; the
                        enumeration steps one parts list to its
                        lexicographic successor, O(1) amortised list work per
                        composition plus the tuple it yields;
-* ``c_formula``      - the explicit formula in convolved Fibonacci numbers:
+* ``formula``        - the explicit formula in convolved Fibonacci numbers:
                        G(x) = 1 + x^2/(1 - x - x^2) = (1 - x)/(1 - x - x^2),
                        so c(n, k), the coefficient of x^(n-k) in G(x)^(k+1),
                        is a signed binomial sum over row k+1 of the convolved
                        table; a triangle row n shares one table of n+1 rows
                        among its n+1 entries;
-* ``c_recurrence``   - bottom-up recurrence peeling off the first part equal
+* ``recurrence``     - bottom-up recurrence peeling off the first part equal
                        to 1;
-* ``bitstring_singles_oracle`` - count bit strings that start with 0 and
+* ``bitstring``      - count bit strings that start with 0 and
                        have exactly k maximal runs of length 1, straight
                        from each bit pattern: a popcount of adjacent run
                        boundaries, a few int operations per string;
-* ``c_minor_route``  - brute-force principal-minor sums of build_G(n).
+* ``minors``         - brute-force principal-minor sums of build_G(n).
+
+``c_bruteforce``, ``c_formula`` and ``c_recurrence`` give one entry by the
+first three routes.
 
 Boundary conventions: c(0, 0) = 1 (the empty composition), and c(m, k) = 0
 for k < 0, k > m, or m < 0.  Row 0 of the bit-string route counts the empty
@@ -41,8 +45,6 @@ from .poly import convolve
 DEFAULT_COMPOSITION_BOUND = 24
 
 Composition = tuple[int, ...]
-
-ROUTES = ("bruteforce", "formula", "recurrence", "bitstring", "minors")
 
 
 def _check_target(n: int, bound: int | None) -> None:
@@ -248,25 +250,6 @@ def _bitstring_row(n: int, bound: int | None) -> list[int]:
     return counts
 
 
-def bitstring_singles_oracle(n: int, k: int, bound: int | None = None) -> int:
-    """Count length-n bit strings starting with 0 that have exactly k singles.
-
-    A single is a maximal run of identical bits with length exactly 1.
-    """
-    _check_nk(n, k)
-    return _bitstring_row(n, bound)[k]
-
-
-def c_minor_route(n: int, k: int, bound: int | None = None) -> int:
-    """c(n, k) as the brute-force sum of order-(n-k) principal minors of build_G(n).
-
-    The order-0 empty minor contributes 1, which covers both k = n and the
-    n = 0 row.
-    """
-    _check_nk(n, k)
-    return _minor_row(n, bound)[k]
-
-
 def _minor_row(n: int, bound: int | None) -> list[int]:
     if n == 0:
         return [1]
@@ -290,14 +273,18 @@ def _formula_row(n: int, bound: int | None) -> list[int]:
     return [c_formula(n, k, table) for k in range(n + 1)]
 
 
-# route -> (n, enumeration cap) -> row n; the recurrence route fills its
-# whole table at once instead
-_ROW_BUILDERS = {
-    "bruteforce": lambda n, bound: _count_by_ones(enumerate_compositions(n, bound), n),
-    "formula": _formula_row,
-    "bitstring": _bitstring_row,
-    "minors": _minor_row,
+# route -> (row n from (n, enumeration cap), the cap check that refuses
+# n_max before any row is built, or None); the recurrence route has no row
+# builder, because it fills its whole table at once
+_ROUTE_TABLE = {
+    "bruteforce": (
+        lambda n, bound: _count_by_ones(enumerate_compositions(n, bound), n), _check_target),
+    "formula": (_formula_row, None),
+    "recurrence": (None, None),
+    "bitstring": (_bitstring_row, _check_target),
+    "minors": (_minor_row, check_minor_bound),
 }
+ROUTES = tuple(_ROUTE_TABLE)
 
 
 def triangle(
@@ -305,21 +292,21 @@ def triangle(
 ) -> list[TriangleRow]:
     """Rows 0..n_max of the triangle, computed by the selected route.
 
-    ``bound`` overrides the enumeration cap of the brute-force routes;
-    resource errors from a route propagate unchanged.
+    ``bound`` overrides the enumeration cap of the brute-force routes
+    (``bruteforce``, ``bitstring``, ``minors``), which refuse an n_max above
+    it before building any row; ``formula`` and ``recurrence`` ignore it.
+    Resource errors from a route propagate unchanged.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; choose one of {ROUTES}")
     if n_max < 0:
         raise ValueError(f"row bound must be >= 0, got {n_max}")
-    # refuse up front rather than after computing the rows below the cap
-    if route in ("bruteforce", "bitstring"):
-        _check_target(n_max, bound)
-    elif route == "minors":
-        check_minor_bound(n_max, bound)
-    if route == "recurrence":
+    row_of, check_cap = _ROUTE_TABLE[route]
+    if check_cap is not None:
+        check_cap(n_max, bound)
+    if row_of is None:
         rows = _recurrence_rows(range(n_max + 1, 0, -1))
         table = [[rows[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
     else:
-        table = [_ROW_BUILDERS[route](n, bound) for n in range(n_max + 1)]
+        table = [row_of(n, bound) for n in range(n_max + 1)]
     return [TriangleRow(n=n, values=tuple(row), route=route) for n, row in enumerate(table)]

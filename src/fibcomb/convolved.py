@@ -5,8 +5,9 @@ i.e. the m-th term of the r-fold convolution of the Fibonacci sequence with
 itself.  Row r = 1 is the Fibonacci sequence.  The same numbers fall out of
 
 * a double binomial sum (``convolved_fib_binomial``), and
-* sums of principal minors of the build_F matrices
-  (``convolved_fib_minor_route``),
+* sums of principal minors of the build_F matrices: entry n - k of
+  ``minor_sums(build_F(n))`` is ``convolved_fib(k+1, n-k+1)``, which the
+  ``minors`` suite of ``verify`` checks,
 
 which lets each route act as a check on the others.  ``convolved_series``
 and ``convolved_fib`` keep the convolution definition (r-1 truncated
@@ -21,8 +22,9 @@ refuses.
 
 from __future__ import annotations
 
-from .fib import binomial, fib
-from .hessenberg import build_F, minor_sums
+from math import comb
+
+from .fib import fib
 from .poly import convolve
 
 
@@ -68,7 +70,7 @@ def convolved_table(r_max: int, m_max: int) -> list[list[int]]:
     O(m_max) additions: a[r][i] = a[r-1][i] + a[r][i-1] + a[r][i-2].
     """
     if r_max < 1 or m_max < 1:
-        raise ValueError("table bounds must be >= 1")
+        raise ValueError(f"table bounds must be >= 1, got r_max={r_max}, m_max={m_max}")
     table = [[fib(i + 1) for i in range(m_max)]]
     for _ in range(r_max - 1):
         row = []
@@ -89,31 +91,12 @@ def convolved_fib_binomial(n: int, k: int) -> int:
     if n < 0 or not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     return sum(
-        binomial(n - i, i) * binomial(n - 2 * i, k) for i in range((n - k) // 2 + 1)
+        comb(n - i, i) * comb(n - 2 * i, k) for i in range((n - k) // 2 + 1)
     )
-
-
-def convolved_fib_minor_route(n: int, k: int, bound: int | None = None) -> int:
-    """Brute-force sum of the order-(n-k) principal minors of build_F(n).
-
-    Agrees with convolved_fib(k+1, n-k+1); exponential in n, so treat it as
-    the ground-truth side only.
-    """
-    if n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n}")
-    if not (0 <= k <= n - 1):
-        raise ValueError(f"need 0 <= k <= n-1, got n={n}, k={k}")
-    return minor_sums(build_F(n), bound)[n - k]
 
 
 def alternating_sum(n: int) -> int:
     """(-1)^n times the double sum of (-2)^k C(n-i, i) C(n-2i, k) over k and i."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    total = 0
-    for k in range(n + 1):
-        sign_pow = (-2) ** k
-        for i in range((n - k) // 2 + 1):
-            total += sign_pow * binomial(n - i, i) * binomial(n - 2 * i, k)
-    return (-1) ** n * total
-
+    return (-1) ** n * sum((-2) ** k * convolved_fib_binomial(n, k) for k in range(n + 1))

@@ -31,18 +31,6 @@ def fib(n: int) -> int:
     return a
 
 
-def binomial(a: int, b: int) -> int:
-    """C(a, b) with the out-of-range convention C(a, b) = 0 for b < 0 or b > a.
-
-    The convention lets double sums over (i, k) run without edge guards.
-    """
-    if a < 0:
-        raise ValueError(f"binomial requires a >= 0, got a={a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
 def fib_poly(n: int) -> IntPolynomial:
     """n-th Fibonacci polynomial by the recurrence.
 
@@ -71,7 +59,7 @@ def fib_poly_explicit(n: int) -> IntPolynomial:
         raise ValueError(f"fib_poly_explicit index must be >= 0, got {n}")
     coeffs = [0] * (n + 1)
     for i in range(n // 2 + 1):
-        coeffs[n - 2 * i] = binomial(n - i, i)
+        coeffs[n - 2 * i] = math.comb(n - i, i)
     return IntPolynomial(coeffs)
 
 

@@ -22,10 +22,6 @@ class IntPolynomial:
         self.coeffs: tuple[int, ...] = tuple(stripped)
 
     @classmethod
-    def zero(cls) -> IntPolynomial:
-        return cls()
-
-    @classmethod
     def one(cls) -> IntPolynomial:
         return cls((1,))
 
@@ -76,19 +72,11 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    __radd__ = __add__
-
     def __sub__(self, other: IntPolynomial | int) -> IntPolynomial:
         other = _lift(other)
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other: IntPolynomial | int) -> IntPolynomial:
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
         other = _lift(other)
@@ -102,19 +90,6 @@ class IntPolynomial:
         return IntPolynomial(convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> IntPolynomial:
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = IntPolynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __call__(self, value):
         """Evaluate at an integer, or compose when ``value`` is a polynomial.

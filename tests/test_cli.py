@@ -57,6 +57,11 @@ def test_convolved_table_csv_rows(capsys):
     assert lines[0].startswith("1,1,2,3,5")
 
 
+def test_convolved_table_usage_error_names_both_bounds(capsys):
+    assert run(capsys, "convolved", "0", "5", "--table") == (
+        2, "", "error: table bounds must be >= 1, got r_max=0, m_max=5\n")
+
+
 def test_triangle_plain_rows(capsys):
     code, out, _ = run(capsys, "triangle", "4", "--route", "formula")
     assert code == 0
@@ -79,10 +84,10 @@ def test_triangle_routes_give_identical_output(capsys):
 
 
 def test_triangle_bound_enforcement(capsys):
-    code, out, err = run(capsys, "triangle", "30", "--route", "bruteforce")
-    assert code == 2
-    assert out == ""
-    assert "bound" in err
+    # refused up front, so the message names n_max and not row 25
+    assert run(capsys, "triangle", "30", "--route", "bruteforce") == (
+        2, "", "error: target 30 exceeds the enumeration bound 24 (2^(n-1) items); "
+        "pass a larger bound to force it\n")
 
 
 def test_det_commands(capsys):

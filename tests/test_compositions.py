@@ -8,12 +8,10 @@ from fibcomb.compositions import (
     TriangleRow,
     _count_by_ones,
     bitstring_runs,
-    bitstring_singles_oracle,
     c_bruteforce,
     c_formula,
     c_formula_naive,
     c_formula_wrong_index,
-    c_minor_route,
     c_recurrence,
     enumerate_compositions,
     triangle,
@@ -148,14 +146,15 @@ def test_bitstring_runs_small():
 
 
 def test_bitstring_oracle_examples():
-    assert bitstring_singles_oracle(3, 1) == 2
-    assert bitstring_singles_oracle(3, 3) == 1
-    assert bitstring_singles_oracle(3, 0) == 1
+    row = triangle(3, "bitstring")[3].values
+    assert row[1] == 2
+    assert row[3] == 1
+    assert row[0] == 1
 
 
 def test_bitstring_bound():
     with pytest.raises(EnumerationBoundError):
-        bitstring_singles_oracle(25, 1)
+        triangle(25, "bitstring")
 
 
 def test_bitstring_row_counts_the_runs():
@@ -163,7 +162,7 @@ def test_bitstring_row_counts_the_runs():
     for n in range(17):
         counts = _count_by_ones(bitstring_runs(n), n)
         assert rows[n].values == tuple(counts)
-        assert bitstring_singles_oracle(n, n // 2) == counts[n // 2]
+        assert rows[n].values[n // 2] == counts[n // 2]
 
 
 def test_runs_biject_with_compositions():
@@ -172,25 +171,27 @@ def test_runs_biject_with_compositions():
 
 
 def test_minor_route_examples():
-    assert c_minor_route(4, 0) == 2
-    assert c_minor_route(4, 2) == 3
-    assert c_minor_route(3, 3) == 1
-    assert c_minor_route(0, 0) == 1
+    rows = triangle(4, "minors")
+    assert rows[4].values[0] == 2
+    assert rows[4].values[2] == 3
+    assert rows[3].values[3] == 1
+    assert rows[0].values[0] == 1
 
 
 def test_minor_route_propagates_bound():
     with pytest.raises(EnumerationBoundError):
-        c_minor_route(8, 1, bound=6)
+        triangle(8, "minors", bound=6)
 
 
 def test_five_route_agreement_small():
+    bitstring, minors = triangle(10, "bitstring"), triangle(10, "minors")
     for n in range(11):
         for k in range(n + 1):
             expected = c_bruteforce(n, k)
             assert c_formula(n, k) == expected
             assert c_recurrence(n, k) == expected
-            assert bitstring_singles_oracle(n, k) == expected
-            assert c_minor_route(n, k) == expected
+            assert bitstring[n].values[k] == expected
+            assert minors[n].values[k] == expected
 
 
 # --- the triangle -----------------------------------------------------------
@@ -255,3 +256,14 @@ def test_triangle_validates_route_and_bounds():
         triangle(21, route="minors")
     with pytest.raises(EnumerationBoundError):
         triangle(10, route="bitstring", bound=9)
+
+
+@pytest.mark.parametrize("route, message", [
+    ("bruteforce", r"^target 12 exceeds the enumeration bound 9 "),
+    ("bitstring", r"^target 12 exceeds the enumeration bound 9 "),
+    ("minors", r"^order 12 exceeds the enumeration bound 9 "),
+])
+def test_capped_routes_refuse_n_max_before_building_a_row(route, message):
+    # a row-by-row check would name row 10, the first row above the cap
+    with pytest.raises(EnumerationBoundError, match=message):
+        triangle(12, route, bound=9)

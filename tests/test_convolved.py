@@ -4,12 +4,11 @@ from fibcomb.convolved import (
     alternating_sum,
     convolved_fib,
     convolved_fib_binomial,
-    convolved_fib_minor_route,
     convolved_series,
     convolved_table,
 )
 from fibcomb.fib import fib, fib_poly, shift_poly
-from fibcomb.hessenberg import EnumerationBoundError
+from fibcomb.hessenberg import EnumerationBoundError, build_F, minor_sums
 
 
 def test_order_one_is_fibonacci():
@@ -78,26 +77,28 @@ def test_binomial_route_examples():
 
 
 def test_minor_route_examples():
-    assert convolved_fib_minor_route(4, 0) == 5
-    assert convolved_fib_minor_route(4, 2) == 9
-    assert convolved_fib_minor_route(3, 2) == 3
+    # entry n - k of minor_sums(build_F(n)) is convolved_fib(k + 1, n - k + 1)
+    assert minor_sums(build_F(4))[4 - 0] == 5
+    assert minor_sums(build_F(4))[4 - 2] == 9
+    assert minor_sums(build_F(3))[3 - 2] == 3
 
 
 def test_minor_route_validates():
     with pytest.raises(ValueError):
-        convolved_fib_minor_route(0, 0)
-    with pytest.raises(ValueError):
-        convolved_fib_minor_route(4, 4)
+        build_F(0)
+    # k = n reads the empty minor, 1, which is also convolved_fib(n + 1, 1)
+    assert minor_sums(build_F(4))[4 - 4] == 1 == convolved_fib(5, 1)
     with pytest.raises(EnumerationBoundError):
-        convolved_fib_minor_route(8, 1, bound=6)
+        minor_sums(build_F(8), bound=6)
 
 
 def test_triple_route_agreement_small():
     for n in range(1, 13):
+        sums = minor_sums(build_F(n))
         for k in range(n):
             series = convolved_fib(k + 1, n - k + 1)
             assert series == convolved_fib_binomial(n, k)
-            assert series == convolved_fib_minor_route(n, k)
+            assert series == sums[n - k]
 
 
 def test_two_route_agreement_larger():

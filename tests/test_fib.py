@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fibcomb.fib import binomial, fib, fib_poly, fib_poly_explicit, shift_poly
+from fibcomb.fib import fib, fib_poly, fib_poly_explicit, shift_poly
 from fibcomb.poly import IntPolynomial
 
 
@@ -94,25 +94,3 @@ def test_shift_examples():
 def test_shift_then_unshift_is_identity(coeffs):
     p = IntPolynomial(coeffs)
     assert shift_poly(p)(IntPolynomial.x() + 1) == p
-
-
-def test_binomial_values():
-    assert binomial(4, 2) == 6
-    assert binomial(0, 0) == 1
-    for n in range(10):
-        assert binomial(n, 0) == 1
-
-
-def test_binomial_out_of_range_is_zero():
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-
-
-def test_binomial_rejects_negative_a():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-@given(st.integers(1, 60), st.integers(-2, 62))
-def test_binomial_pascal_rule(a, b):
-    assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
