@@ -22,7 +22,7 @@ Five independent routes compute the same triangle (OEIS A105422); each is a
 * ``minors``         - brute-force principal-minor sums of build_G(n).
 
 ``c_bruteforce``, ``c_formula`` and ``c_recurrence`` give one entry by the
-first three routes.
+first three routes.  Enumeration caps live in ``fibcomb.hessenberg.CAPS``.
 
 Boundary conventions: c(0, 0) = 1 (the empty composition), and c(m, k) = 0
 for k < 0, k > m, or m < 0.  Row 0 of the bit-string route counts the empty
@@ -37,26 +37,15 @@ from math import prod
 
 from .convolved import convolved_table
 from .fib import fib
-from .hessenberg import EnumerationBoundError, build_G, check_minor_bound, minor_sums
+from .hessenberg import build_G, check_cap, minor_sums
 from .poly import convolve
-
-# 2^(n-1) compositions / bit strings per row; refuse targets above this
-# unless the caller raises the bound explicitly.
-DEFAULT_COMPOSITION_BOUND = 24
 
 Composition = tuple[int, ...]
 
 
-def _check_target(n: int, bound: int | None) -> None:
+def _check_target(n: int) -> None:
     if n < 0:
         raise ValueError(f"target must be >= 0, got {n}")
-    if bound is None:
-        bound = DEFAULT_COMPOSITION_BOUND
-    if n > bound:
-        raise EnumerationBoundError(
-            f"target {n} exceeds the enumeration bound {bound} "
-            f"(2^(n-1) items); pass a larger bound to force it"
-        )
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -71,7 +60,8 @@ def enumerate_compositions(n: int, bound: int | None = None) -> Iterator[Composi
 
     n = 0 yields the single empty composition; n >= 1 yields 2^(n-1) tuples.
     """
-    _check_target(n, bound)
+    _check_target(n)
+    check_cap("compositions", n, bound)
     return _compositions(n)
 
 
@@ -97,10 +87,10 @@ def _count_by_ones(items: Iterator[tuple[int, ...]], n: int) -> list[int]:
     return counts
 
 
-def c_bruteforce(n: int, k: int, bound: int | None = None) -> int:
+def c_bruteforce(n: int, k: int) -> int:
     """Count compositions of n with exactly k ones by full enumeration."""
     _check_nk(n, k)
-    return _count_by_ones(enumerate_compositions(n, bound), n)[k]
+    return _count_by_ones(enumerate_compositions(n), n)[k]
 
 
 def _ones_series(length: int) -> list[int]:
@@ -200,14 +190,15 @@ def c_recurrence(n: int, k: int) -> int:
     return _recurrence_rows([n - k + 1] * (k + 1))[k][n - k]
 
 
-def bitstring_runs(n: int, bound: int | None = None) -> Iterator[tuple[int, ...]]:
+def bitstring_runs(n: int) -> Iterator[tuple[int, ...]]:
     """Run-length tuples of every length-n bit string that starts with 0.
 
     Maximal runs map to composition parts, so this enumerates the
     compositions of n in bit-string disguise.  n = 0 yields the empty run
     tuple for the empty string.
     """
-    _check_target(n, bound)
+    _check_target(n)
+    check_cap("compositions", n)
     return _bit_runs(n)
 
 
@@ -233,12 +224,11 @@ def _bit_runs(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(runs)
 
 
-def _bitstring_row(n: int, bound: int | None) -> list[int]:
+def _bitstring_row(n: int) -> list[int]:
     # counts[k] = length-n bit strings starting with 0 that have k singles.
     # Read pattern p < 2^(n-1) as such a string, its top bit the leading 0.
     # Bit i+1 of d marks a run boundary between bits i and i+1 of p, and
     # bits 0 and n mark the two ends, so a single is two adjacent marks.
-    _check_target(n, bound)
     counts = [0] * (n + 1)
     if n == 0:
         counts[0] = 1  # the empty string has no runs
@@ -250,10 +240,10 @@ def _bitstring_row(n: int, bound: int | None) -> list[int]:
     return counts
 
 
-def _minor_row(n: int, bound: int | None) -> list[int]:
+def _minor_row(n: int) -> list[int]:
     if n == 0:
         return [1]
-    sums = minor_sums(build_G(n), bound)
+    sums = minor_sums(build_G(n), n)
     return [sums[n - k] for k in range(n + 1)]
 
 
@@ -266,23 +256,22 @@ class TriangleRow:
     route: str
 
 
-def _formula_row(n: int, bound: int | None) -> list[int]:
+def _formula_row(n: int) -> list[int]:
     # one table per row, not per triangle: bench/test_checks.py expects
     # `fibcomb triangle 9` to call fib with repeated arguments
     table = convolved_table(n + 1, n + 1)
     return [c_formula(n, k, table) for k in range(n + 1)]
 
 
-# route -> (row n from (n, enumeration cap), the cap check that refuses
-# n_max before any row is built, or None); the recurrence route has no row
-# builder, because it fills its whole table at once
+# route -> (row n, the CAPS entry that n_max is checked against, or None).
+# triangle() has held n_max to the cap, so a row passes n as its bound.  The
+# recurrence route has no row builder: it fills its whole table at once.
 _ROUTE_TABLE = {
-    "bruteforce": (
-        lambda n, bound: _count_by_ones(enumerate_compositions(n, bound), n), _check_target),
+    "bruteforce": (lambda n: _count_by_ones(enumerate_compositions(n, n), n), "compositions"),
     "formula": (_formula_row, None),
     "recurrence": (None, None),
-    "bitstring": (_bitstring_row, _check_target),
-    "minors": (_minor_row, check_minor_bound),
+    "bitstring": (_bitstring_row, "compositions"),
+    "minors": (_minor_row, "minors"),
 }
 ROUTES = tuple(_ROUTE_TABLE)
 
@@ -301,12 +290,12 @@ def triangle(
         raise ValueError(f"unknown route {route!r}; choose one of {ROUTES}")
     if n_max < 0:
         raise ValueError(f"row bound must be >= 0, got {n_max}")
-    row_of, check_cap = _ROUTE_TABLE[route]
-    if check_cap is not None:
-        check_cap(n_max, bound)
+    row_of, enumeration = _ROUTE_TABLE[route]
+    if enumeration is not None:
+        check_cap(enumeration, n_max, bound)
     if row_of is None:
         rows = _recurrence_rows(range(n_max + 1, 0, -1))
         table = [[rows[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
     else:
-        table = [row_of(n, bound) for n in range(n_max + 1)]
+        table = [row_of(n) for n in range(n_max + 1)]
     return [TriangleRow(n=n, values=tuple(row), route=route) for n, row in enumerate(table)]

@@ -21,6 +21,9 @@ extends a fraction-free elimination by one row per subset, O(k*n) for a
 k-subset, and shares no code with either determinant route.
 ``principal_minor`` runs ``det_oracle`` on one kept submatrix, built from
 the stored rows without the rest of the matrix.
+
+``CAPS`` holds the cap of every brute-force enumeration in the package, and
+``check_cap`` refuses a size above it unless a larger bound is passed.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ from operator import add, mul
 from .fib import fib
 from .poly import IntPolynomial
 
-# 2^n subsets are enumerated by minor_sums; refuse orders above this unless
-# the caller raises the bound explicitly.
-DEFAULT_MINOR_BOUND = 20
+# enumeration -> (default cap, what the cap limits, what is enumerated)
+CAPS = {
+    "compositions": (24, "target", "2^(n-1) items"),
+    "minors": (20, "order", "2^n principal-minor subsets"),
+}
 
 DenseMatrix = Sequence[Sequence[int]]
 
@@ -43,17 +48,18 @@ class EnumerationBoundError(ValueError):
     """A brute-force enumeration would exceed its configured resource bound."""
 
 
-def check_minor_bound(n: int, bound: int | None = None) -> None:
-    """Refuse orders whose 2^n principal-minor enumeration exceeds ``bound``.
+def check_cap(enumeration: str, n: int, bound: int | None = None) -> None:
+    """Refuse to enumerate at size ``n`` above ``bound``.
 
-    ``bound=None`` means ``DEFAULT_MINOR_BOUND``.
+    ``bound=None`` means the enumeration's default cap in ``CAPS``.
     """
+    default, size, items = CAPS[enumeration]
     if bound is None:
-        bound = DEFAULT_MINOR_BOUND
+        bound = default
     if n > bound:
         raise EnumerationBoundError(
-            f"order {n} exceeds the enumeration bound {bound} "
-            f"(2^n principal-minor subsets); pass a larger bound to force it"
+            f"{size} {n} exceeds the enumeration bound {bound} "
+            f"({items}); pass a larger bound to force it"
         )
 
 
@@ -284,7 +290,7 @@ def minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[int]:
     ``char_poly`` or ``det_oracle``.  Entry 0 is 1 (the empty minor) and
     entry n is det(h).
     """
-    check_minor_bound(h.n, bound)
+    check_cap("minors", h.n, bound)
     n = h.n
     full = h.materialize()
     sums = [1] + [0] * n

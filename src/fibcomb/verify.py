@@ -55,6 +55,7 @@ from .hessenberg import (
     build_F,
     build_G,
     char_poly,
+    check_cap,
     cofactor_F,
     dense_cofactor,
     det,
@@ -188,6 +189,7 @@ def _thm11(limit, bound, seed):
 
 
 def _minors(limit, bound, seed):
+    check_cap("minors", limit(12), bound)
     return {"minor-sums-are-convolved": (
         (n, k, {"minor-sums": sums[n - k], "series": convolved_fib(k + 1, n - k + 1)})
         for n in range(1, limit(12) + 1)

@@ -134,6 +134,18 @@ def test_verify_refuses_negative_nmax(capsys, argv):
     assert run(capsys, *argv) == (2, "", "error: nmax must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("argv, order, bound", [
+    (("verify", "--suite", "minors", "--bound", "5"), 12, 5),
+    (("verify", "--bound", "3", "--nmax", "5"), 5, 3),
+])
+def test_verify_refuses_the_minors_suite_up_front(capsys, argv, order, bound):
+    # refused before any minor is summed, so the message names the largest
+    # order the suite would reach, not the first order above the cap
+    assert run(capsys, *argv) == (
+        2, "", f"error: order {order} exceeds the enumeration bound {bound} "
+        "(2^n principal-minor subsets); pass a larger bound to force it\n")
+
+
 def test_variant_requires_compositions_suite(capsys):
     code, _, err = run(
         capsys, "verify", "--suite", "minors", "--variant", "wrong-index"

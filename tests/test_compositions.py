@@ -18,7 +18,7 @@ from fibcomb.compositions import (
 )
 from fibcomb.convolved import convolved_table
 from fibcomb.fib import fib
-from fibcomb.hessenberg import EnumerationBoundError
+from fibcomb.hessenberg import EnumerationBoundError, build_F, minor_sums
 
 
 # --- enumeration ------------------------------------------------------------
@@ -267,3 +267,23 @@ def test_capped_routes_refuse_n_max_before_building_a_row(route, message):
     # a row-by-row check would name row 10, the first row above the cap
     with pytest.raises(EnumerationBoundError, match=message):
         triangle(12, route, bound=9)
+
+
+_TARGET_REFUSAL = (r"^target {} exceeds the enumeration bound {} \(2\^\(n-1\) items\); "
+                   r"pass a larger bound to force it$")
+_ORDER_REFUSAL = (r"^order {} exceeds the enumeration bound {} \(2\^n principal-minor "
+                  r"subsets\); pass a larger bound to force it$")
+
+
+@pytest.mark.parametrize("enumerate_, message", [
+    (lambda: enumerate_compositions(25), _TARGET_REFUSAL.format(25, 24)),
+    (lambda: bitstring_runs(25), _TARGET_REFUSAL.format(25, 24)),
+    (lambda: c_bruteforce(25, 0), _TARGET_REFUSAL.format(25, 24)),
+    (lambda: minor_sums(build_F(21)), _ORDER_REFUSAL.format(21, 20)),
+    (lambda: enumerate_compositions(10, bound=9), _TARGET_REFUSAL.format(10, 9)),
+    (lambda: minor_sums(build_F(5), bound=4), _ORDER_REFUSAL.format(5, 4)),
+], ids=["compositions", "bitstring-runs", "c-bruteforce", "minor-sums",
+        "compositions-override", "minor-sums-override"])
+def test_enumeration_refusals_word_for_word(enumerate_, message):
+    with pytest.raises(EnumerationBoundError, match=message):
+        enumerate_()
