@@ -1,14 +1,20 @@
+import random
 import sys
+from contextlib import contextmanager
 
 import pytest
 
-from fibcomb.cli import main
-from fibcomb.convolved import convolved_fib
+from fibcomb.cli import _STR_BITS, build_parser, int_digits, main
+from fibcomb.convolved import convolved_fib, convolved_fib_binomial
 from fibcomb.fib import fib
+from fibcomb.hessenberg import build_F, build_G, det
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -160,17 +166,95 @@ def test_unknown_subcommand_exits_with_usage():
     assert exc.value.code == 2
 
 
-@pytest.mark.skipif(
+needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
     reason="no int-to-str digit limit before Python 3.10.7",
 )
+
+
+@contextmanager
+def unlimited_digits():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
 def test_fib_prints_values_over_the_int_str_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, "fib", "25000")
     assert (code, err, len(out)) == (0, "", 5226)
     assert sys.get_int_max_str_digits() == limit
-    sys.set_int_max_str_digits(0)
-    try:
+    with unlimited_digits():
         assert out == f"{fib(25000)}\n"
-    finally:
-        sys.set_int_max_str_digits(limit)
+
+
+def test_int_digits_is_str_around_the_threshold():
+    edges = [0, 1, -1]
+    for bits in (_STR_BITS - 1, _STR_BITS, _STR_BITS + 1):
+        edges += [1 << (bits - 1), (1 << bits) - 1, -(1 << (bits - 1)), 1 - (1 << bits)]
+    with unlimited_digits():
+        for value in edges:
+            assert int_digits(value) == str(value), value.bit_length()
+
+
+def test_int_digits_is_str_on_random_ints():
+    rng = random.Random(14)
+    with unlimited_digits():
+        for _ in range(40):
+            value = rng.getrandbits(rng.randrange(1, 200_001)) * rng.choice((1, -1))
+            assert int_digits(value) == str(value), value.bit_length()
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv, value", [
+    (("fib", "300000"), lambda: fib(300000)),
+    (("det", "F", "60000"), lambda: det(build_F(60000))),
+    (("det", "G", "60000"), lambda: det(build_G(60000))),
+])
+def test_values_over_the_split_threshold_print_as_str(capsys, argv, value):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert sys.get_int_max_str_digits() == limit
+    expected = value()
+    assert expected.bit_length() > _STR_BITS
+    with unlimited_digits():
+        assert (code, out, err) == (0, f"{expected}\n", "")
+
+
+def test_convolved_value_below_the_split_threshold(capsys):
+    # the binomial sum takes minutes to reach the threshold, so only str()
+    # is exercised here
+    value = convolved_fib_binomial(2000 + 20 - 2, 20 - 1)
+    assert 1000 < value.bit_length() <= _STR_BITS
+    with unlimited_digits():
+        assert run(capsys, "convolved", "20", "2000") == (0, f"{value}\n", "")
+
+
+def test_parser_is_built_once_and_reused():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    later = (("triangle", "4"), ("convolved", "2", "5", "--table"), ("--help",))
+    fresh = []
+    for argv in later:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert fresh[0] == (0, "1\n0 1\n1 0 1\n1 2 0 1\n2 2 3 0 1\n", "")
+    # a usage error, a refusal, a failed check and non-default options, all
+    # on the one parser, must not change what the later commands print
+    for argv, code in (
+        (("triangle", "3", "--route", "magic"), 2),
+        (("fib", "-2"), 2),
+        (("verify", "--suite", "compositions", "--variant", "wrong-index"), 1),
+        (("triangle", "4", "--format", "bfile", "--offset", "7"), 0),
+    ):
+        assert run(capsys, *argv)[0] == code, argv
+    assert [run(capsys, *argv) for argv in later] == fresh
