@@ -5,7 +5,7 @@ a verification check fails, 2 on usage or resource errors.
 
 ``main`` builds the argument parser on its first call and reuses it for the
 rest of the process.  The single values of ``fib``, ``det`` and ``convolved
-R M`` are printed by ``int_digits``: ``str()`` up to 2^15 bits, and above
+R M`` are printed by ``_int_digits``: ``str()`` up to 2^15 bits, and above
 that a divide-and-conquer split through ``decimal``, because ``str()`` is
 quadratic in the digit count before Python 3.12.
 """
@@ -76,14 +76,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # str() and the decimal split cost the same near 30,000 bits (9,000 digits)
-# on a 2-core x86-64 host under Python 3.11
+# on a 2-core x86-64 host under Python 3.11.7, where the split is 1.9x
+# faster at 2^16 bits and 11x at 2^20.  From 3.12 str() itself switches to
+# the same method above its own threshold; there the two stay within 1.3x
+# of each other from 2^15 to 2^20 bits (3.12.1: the split 5-20% faster;
+# 3.13.0: up to 1.3x slower below 2^18 bits, faster above), so no version
+# gate is kept
 _STR_BITS = 1 << 15
 # the split's leaves, converted by Decimal(int) directly
 _LEAF_BITS = 2048
 
 
-def int_digits(value: int) -> str:
+def _int_digits(value: int) -> str:
     """``str(value)``, in subquadratic time for values over ``_STR_BITS`` bits.
+
+    Assumes the int-to-str digit limit is lifted, as ``main`` does: under
+    the default limit the ``str()`` branch refuses values between 4,300
+    digits and ``_STR_BITS`` bits, while the split converts any size.
 
     The magnitude is split at a power of two, both halves are converted
     recursively, and they are joined as ``hi * 2^w + lo`` with libmpdec's
@@ -117,7 +126,7 @@ def int_digits(value: int) -> str:
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
-    print(int_digits(fib(args.n)))
+    print(_int_digits(fib(args.n)))
     return 0
 
 
@@ -127,7 +136,7 @@ def _cmd_convolved(args: argparse.Namespace) -> int:
         print(render_grid(grid, args.format, args.offset), end="")
     else:
         check_convolved_args(args.r, args.m)
-        print(int_digits(convolved_fib_binomial(args.m + args.r - 2, args.r - 1)))
+        print(_int_digits(convolved_fib_binomial(args.m + args.r - 2, args.r - 1)))
     return 0
 
 
@@ -139,7 +148,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 def _cmd_det(args: argparse.Namespace) -> int:
     build = build_F if args.family == "F" else build_G
-    print(int_digits(det(build(args.n))))
+    print(_int_digits(det(build(args.n))))
     return 0
 
 

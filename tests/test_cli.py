@@ -4,17 +4,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from fibcomb.cli import _STR_BITS, build_parser, int_digits, main
+from fibcomb.cli import _STR_BITS, _int_digits, build_parser, main
 from fibcomb.convolved import convolved_fib, convolved_fib_binomial
 from fibcomb.fib import fib
 from fibcomb.hessenberg import build_F, build_G, det
 
 
 def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors and --help
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -201,7 +198,7 @@ def test_int_digits_is_str_around_the_threshold():
         edges += [1 << (bits - 1), (1 << bits) - 1, -(1 << (bits - 1)), 1 - (1 << bits)]
     with unlimited_digits():
         for value in edges:
-            assert int_digits(value) == str(value), value.bit_length()
+            assert _int_digits(value) == str(value), value.bit_length()
 
 
 def test_int_digits_is_str_on_random_ints():
@@ -209,7 +206,7 @@ def test_int_digits_is_str_on_random_ints():
     with unlimited_digits():
         for _ in range(40):
             value = rng.getrandbits(rng.randrange(1, 200_001)) * rng.choice((1, -1))
-            assert int_digits(value) == str(value), value.bit_length()
+            assert _int_digits(value) == str(value), value.bit_length()
 
 
 @needs_digit_limit
@@ -241,12 +238,22 @@ def test_parser_is_built_once_and_reused():
     assert build_parser() is build_parser()
 
 
+def run_to_exit(capsys, *argv):
+    """Like ``run``, but an argparse exit (usage error, ``--help``) is a result."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_reused_parser_keeps_no_state_between_calls(capsys):
     later = (("triangle", "4"), ("convolved", "2", "5", "--table"), ("--help",))
     fresh = []
     for argv in later:
         build_parser.cache_clear()
-        fresh.append(run(capsys, *argv))
+        fresh.append(run_to_exit(capsys, *argv))
     assert fresh[0] == (0, "1\n0 1\n1 0 1\n1 2 0 1\n2 2 3 0 1\n", "")
     # a usage error, a refusal, a failed check and non-default options, all
     # on the one parser, must not change what the later commands print
@@ -256,5 +263,5 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
         (("verify", "--suite", "compositions", "--variant", "wrong-index"), 1),
         (("triangle", "4", "--format", "bfile", "--offset", "7"), 0),
     ):
-        assert run(capsys, *argv)[0] == code, argv
-    assert [run(capsys, *argv) for argv in later] == fresh
+        assert run_to_exit(capsys, *argv)[0] == code, argv
+    assert [run_to_exit(capsys, *argv) for argv in later] == fresh
