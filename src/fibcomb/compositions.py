@@ -3,10 +3,10 @@
 Five independent routes compute the same triangle (OEIS A105422); each is a
 ``route`` of ``triangle(n_max, route)``:
 
-* ``bruteforce``     - enumerate all 2^(n-1) compositions and count; the
-                       enumeration steps one parts list to its
-                       lexicographic successor, O(1) amortised list work per
-                       composition plus the tuple it yields;
+* ``bruteforce``     - count every composition of every m <= n_max in one
+                       walk of their prefix tree, 2^n_max nodes for the
+                       whole triangle, each counted in O(1) from its
+                       parent's ones count;
 * ``formula``        - the explicit formula in convolved Fibonacci numbers:
                        G(x) = 1 + x^2/(1 - x - x^2) = (1 - x)/(1 - x - x^2),
                        so c(n, k), the coefficient of x^(n-k) in G(x)^(k+1),
@@ -19,7 +19,14 @@ Five independent routes compute the same triangle (OEIS A105422); each is a
                        have exactly k maximal runs of length 1, straight
                        from each bit pattern: a popcount of adjacent run
                        boundaries, a few int operations per string;
-* ``minors``         - brute-force principal-minor sums of build_G(n).
+* ``minors``         - brute-force principal-minor sums of build_G(n), the
+                       leading n-block of build_G(n_max): one walk over the
+                       2^n_max index subsets gives every row.
+
+The exhaustive routes stay exponential on purpose, as ground truth: every
+composition and every subset is still visited, but each triangle costs one
+walk (``bitstring`` scans the patterns of each length once), not one walk
+per row.
 
 ``c_bruteforce``, ``c_formula`` and ``c_recurrence`` give one entry by the
 first three routes.  Enumeration caps live in ``fibcomb.hessenberg.CAPS``.
@@ -37,7 +44,7 @@ from math import prod
 
 from .convolved import convolved_table
 from .fib import fib
-from .hessenberg import build_G, check_cap, minor_sums
+from .hessenberg import build_G, check_cap, leading_minor_sums
 from .poly import convolve
 
 Composition = tuple[int, ...]
@@ -240,13 +247,6 @@ def _bitstring_row(n: int) -> list[int]:
     return counts
 
 
-def _minor_row(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    sums = minor_sums(build_G(n), n)
-    return [sums[n - k] for k in range(n + 1)]
-
-
 @dataclass(frozen=True)
 class TriangleRow:
     """Row n of the triangle: values[k] = c(n, k), tagged with its route."""
@@ -263,15 +263,48 @@ def _formula_row(n: int) -> list[int]:
     return [c_formula(n, k, table) for k in range(n + 1)]
 
 
-# route -> (row n, the CAPS entry that n_max is checked against, or None).
-# triangle() has held n_max to the cap, so a row passes n as its bound.  The
-# recurrence route has no row builder: it fills its whole table at once.
+def _recurrence_triangle(n_max: int) -> list[list[int]]:
+    rows = _recurrence_rows(range(n_max + 1, 0, -1))
+    return [[rows[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
+
+
+def _bruteforce_triangle(n_max: int) -> list[list[int]]:
+    # One walk of the prefix tree of compositions: a node is a composition of
+    # some m <= n_max, and its children append one part p <= n_max - m.  A
+    # child is counted when its parent extends it, from the parent's ones
+    # count plus whether p is 1, and only a child with m < n_max, which has
+    # children of its own, goes on the stack.  Every composition of every
+    # m <= n_max is counted once, 2^n_max in all (the root is the empty one).
+    counts = [[0] * (m + 1) for m in range(n_max + 1)]
+    counts[0][0] = 1
+    stack = [(0, 0)]  # (m, ones) of each node still to extend
+    while stack:
+        m, ones = stack.pop()
+        for p in range(1, n_max - m + 1):
+            child = ones + (p == 1)
+            counts[m + p][child] += 1
+            if m + p < n_max:
+                stack.append((m + p, child))
+    return counts
+
+
+def _minors_triangle(n_max: int) -> list[list[int]]:
+    # c(n, k) is the sum of the order-(n-k) principal minors of build_G(n),
+    # the leading n-block of build_G(n_max)
+    if n_max == 0:
+        return [[1]]
+    return [sums[::-1] for sums in leading_minor_sums(build_G(n_max), n_max)]
+
+
+# route -> (rows 0..n_max, the CAPS entry that n_max is checked against, or
+# None).  triangle() has held n_max to the cap, so a route passes n_max as its
+# bound.  Each brute-force route makes one walk per triangle, not one per row.
 _ROUTE_TABLE = {
-    "bruteforce": (lambda n: _count_by_ones(enumerate_compositions(n, n), n), "compositions"),
-    "formula": (_formula_row, None),
-    "recurrence": (None, None),
-    "bitstring": (_bitstring_row, "compositions"),
-    "minors": (_minor_row, "minors"),
+    "bruteforce": (_bruteforce_triangle, "compositions"),
+    "formula": (lambda n_max: [_formula_row(n) for n in range(n_max + 1)], None),
+    "recurrence": (_recurrence_triangle, None),
+    "bitstring": (lambda n_max: [_bitstring_row(n) for n in range(n_max + 1)], "compositions"),
+    "minors": (_minors_triangle, "minors"),
 }
 ROUTES = tuple(_ROUTE_TABLE)
 
@@ -290,12 +323,8 @@ def triangle(
         raise ValueError(f"unknown route {route!r}; choose one of {ROUTES}")
     if n_max < 0:
         raise ValueError(f"row bound must be >= 0, got {n_max}")
-    row_of, enumeration = _ROUTE_TABLE[route]
+    rows_of, enumeration = _ROUTE_TABLE[route]
     if enumeration is not None:
         check_cap(enumeration, n_max, bound)
-    if row_of is None:
-        rows = _recurrence_rows(range(n_max + 1, 0, -1))
-        table = [[rows[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
-    else:
-        table = [row_of(n) for n in range(n_max + 1)]
-    return [TriangleRow(n=n, values=tuple(row), route=route) for n, row in enumerate(table)]
+    rows = rows_of(n_max)
+    return [TriangleRow(n=n, values=tuple(row), route=route) for n, row in enumerate(rows)]

@@ -15,10 +15,15 @@ independent evidence:
 * ``det_oracle`` is fraction-free Bareiss elimination on a dense matrix and
   shares no code with ``det``.
 
-``minor_sums`` is the brute-force ground truth for sums of principal
-minors.  It visits all 2^n index subsets in one depth-first walk that
-extends a fraction-free elimination by one row per subset, O(k*n) for a
-k-subset, and shares no code with either determinant route.
+``leading_minor_sums`` is the brute-force ground truth for sums of
+principal minors.  It visits all 2^n index subsets in one depth-first walk
+that extends a fraction-free elimination by one row per subset, O(k*n) for
+a k-subset, and shares no code with either determinant route.  A subset is
+a principal minor of every leading block that holds its largest index, so
+the one walk gives the minor sums of all n+1 leading blocks; ``minor_sums``
+is the last of them.  ``build_F(m)`` and ``build_G(m)`` are the leading
+blocks of ``build_F(n)`` and ``build_G(n)``, so one walk serves a whole
+range of orders.
 ``principal_minor`` runs ``det_oracle`` on one kept submatrix, built from
 the stored rows without the rest of the matrix.
 
@@ -274,26 +279,32 @@ def _bareiss_step(row: list[int], pivot_row: list[int], prev: int) -> list[int]:
     return [p * x // prev for x in row]
 
 
-def minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[int]:
-    """Sums of all principal minors, indexed by minor order 0..n.
+def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[list[int]]:
+    """Sums of the principal minors of every leading block, from one walk.
 
-    Visits every one of the 2^n index subsets, so it is exact by construction
-    and can act as the ground-truth side of identity checks.  The subsets are
-    walked depth first in increasing index order, with an explicit stack of
-    the current path.  Each subset extends its parent's fraction-free
-    (Bareiss) elimination by one row: the new row is reduced against the
-    pivot rows on the path, O(k*n) for a k-subset instead of a fresh O(k^3)
+    Row m, for m = 0..n, holds the sums of the principal minors of the
+    leading m x m block of h, indexed by minor order 0..m: entry 0 is 1 (the
+    empty minor) and entry m is that block's determinant.  Visits every one
+    of the 2^n index subsets, so it is exact by construction and can act as
+    the ground-truth side of identity checks.  The subsets are walked depth
+    first in increasing index order, with an explicit stack of the current
+    path.  Each subset extends its parent's fraction-free (Bareiss)
+    elimination by one row: the new row is reduced against the pivot rows
+    on the path, O(k*n) for a k-subset instead of a fresh O(k^3)
     elimination, and since every row is carried over all later columns the
     new column is already reduced.  A column with no pivot among the rows
     present leaves the minor 0 and the elimination stalled there until a
-    later row supplies the pivot.  Shares no code with ``det``,
-    ``char_poly`` or ``det_oracle``.  Entry 0 is 1 (the empty minor) and
-    entry n is det(h).
+    later row supplies the pivot.  A subset whose largest index is j is a
+    principal minor of every leading block of order above j, so each minor
+    is added to the bucket of its largest index, and row m is the sum of
+    the buckets below m: one walk serves all n+1 blocks.  Shares no code
+    with ``det``, ``char_poly`` or ``det_oracle``.
     """
     check_cap("minors", h.n, bound)
     n = h.n
     full = h.materialize()
-    sums = [1] + [0] * n
+    # by_top[j][size]: summed minors of the subsets whose largest index is j
+    by_top = [[0] * (j + 2) for j in range(n)]
     # One [state, next index to add] per subset on the current path.  A state
     # is (kept indices, pivots, pending, sign): pivots[t] is (kept[t], the
     # row that eliminated column kept[t], from that column on); pending rows
@@ -330,10 +341,22 @@ def minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[int]:
             sign = -sign if pos % 2 else sign  # it moves ahead of pos earlier rows
             prev = pivot_row[0]
         else:
-            sums[len(kept)] += sign * prev
+            by_top[j][len(kept)] += sign * prev
         if j + 1 < n:
             stack.append([(kept, pivots, rows, sign), j + 1])
+    sums = [[1]]
+    for bucket in by_top:
+        sums.append(list(map(add, sums[-1] + [0], bucket)))
     return sums
+
+
+def minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[int]:
+    """Sums of all principal minors, indexed by minor order 0..n.
+
+    The last row of ``leading_minor_sums``: entry 0 is 1 (the empty minor)
+    and entry n is det(h).
+    """
+    return leading_minor_sums(h, bound)[-1]
 
 
 def char_poly(h: HessenbergMatrix) -> IntPolynomial:

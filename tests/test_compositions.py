@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from fibcomb.compositions import (
+    ROUTES,
     TriangleRow,
     _count_by_ones,
     bitstring_runs,
@@ -18,7 +19,7 @@ from fibcomb.compositions import (
 )
 from fibcomb.convolved import convolved_table
 from fibcomb.fib import fib
-from fibcomb.hessenberg import EnumerationBoundError, build_F, minor_sums
+from fibcomb.hessenberg import EnumerationBoundError, build_F, leading_minor_sums, minor_sums
 
 
 # --- enumeration ------------------------------------------------------------
@@ -165,6 +166,19 @@ def test_bitstring_row_counts_the_runs():
         assert rows[n].values[n // 2] == counts[n // 2]
 
 
+def test_bruteforce_walk_counts_the_enumerated_compositions():
+    rows = triangle(16, "bruteforce")
+    for n in range(17):
+        assert rows[n].values == tuple(_count_by_ones(enumerate_compositions(n), n))
+
+
+def test_bruteforce_walk_visits_each_composition_of_each_m_once():
+    # each node of the prefix-tree walk adds one to one count, so the counts
+    # total the nodes: the compositions of every m <= N, 1 + sum 2^(m-1) = 2^N
+    for n_max in range(17):
+        assert sum(sum(row.values) for row in triangle(n_max, "bruteforce")) == 2 ** n_max
+
+
 def test_runs_biject_with_compositions():
     for n in range(15):
         assert Counter(bitstring_runs(n)) == Counter(enumerate_compositions(n))
@@ -206,6 +220,11 @@ def test_triangle_first_rows():
         (1, 2, 0, 1),
         (2, 2, 3, 0, 1),
     ]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_triangle_zero_is_the_empty_composition_alone(route):
+    assert [row.values for row in triangle(0, route)] == [(1,)]
 
 
 def test_triangle_rows_are_labeled():
@@ -280,10 +299,11 @@ _ORDER_REFUSAL = (r"^order {} exceeds the enumeration bound {} \(2\^n principal-
     (lambda: bitstring_runs(25), _TARGET_REFUSAL.format(25, 24)),
     (lambda: c_bruteforce(25, 0), _TARGET_REFUSAL.format(25, 24)),
     (lambda: minor_sums(build_F(21)), _ORDER_REFUSAL.format(21, 20)),
+    (lambda: leading_minor_sums(build_F(21)), _ORDER_REFUSAL.format(21, 20)),
     (lambda: enumerate_compositions(10, bound=9), _TARGET_REFUSAL.format(10, 9)),
     (lambda: minor_sums(build_F(5), bound=4), _ORDER_REFUSAL.format(5, 4)),
 ], ids=["compositions", "bitstring-runs", "c-bruteforce", "minor-sums",
-        "compositions-override", "minor-sums-override"])
+        "leading-minor-sums", "compositions-override", "minor-sums-override"])
 def test_enumeration_refusals_word_for_word(enumerate_, message):
     with pytest.raises(EnumerationBoundError, match=message):
         enumerate_()

@@ -16,6 +16,7 @@ from fibcomb.hessenberg import (
     dense_cofactor,
     det,
     det_oracle,
+    leading_minor_sums,
     minor_sums,
     principal_minor,
     recurrence_term,
@@ -309,6 +310,15 @@ def test_minor_sums_respects_bound():
     assert len(minor_sums(build_F(5), bound=5)) == 6
 
 
+def test_leading_minor_sums_refuses_in_the_words_of_minor_sums():
+    refusal = (r"^order 5 exceeds the enumeration bound 4 \(2\^n principal-minor "
+               r"subsets\); pass a larger bound to force it$")
+    for sums_of in (minor_sums, leading_minor_sums):
+        with pytest.raises(EnumerationBoundError, match=refusal):
+            sums_of(build_F(5), bound=4)
+    assert len(leading_minor_sums(build_F(5), bound=5)) == 6
+
+
 def _minor_sums_by_subsets(h):
     # test-local reference: one oracle principal minor per deleted subset
     sums = [0] * (h.n + 1)
@@ -318,18 +328,30 @@ def _minor_sums_by_subsets(h):
     return sums
 
 
+def _leading_block(h, m):
+    # the leading m x m block: h's first m rows, cut at column m
+    full = h.materialize()
+    return HessenbergMatrix(row[i:m] for i, row in enumerate(full[:m]))
+
+
 @given(zero_heavy_hessenberg_matrices())
 @settings(max_examples=60, deadline=None)
 def test_minor_sums_equal_the_sum_over_every_subset(h):
-    assert minor_sums(h) == _minor_sums_by_subsets(h)
+    leading = leading_minor_sums(h)
+    assert leading == [_minor_sums_by_subsets(_leading_block(h, m)) for m in range(h.n + 1)]
+    assert minor_sums(h) == leading[-1]
 
 
 @pytest.mark.parametrize("build", [build_F, build_G])
 def test_minor_sums_of_the_families_equal_the_sum_over_every_subset(build):
-    # build_G's zero diagonal stalls the first pivot of every subset
+    # build_G's zero diagonal stalls the first pivot of every subset, and
+    # build(n) is the leading n-block of build(12)
+    leading = leading_minor_sums(build(12))
+    assert leading[0] == [1]
     for n in range(1, 13):
         h = build(n)
-        assert minor_sums(h) == _minor_sums_by_subsets(h)
+        assert _leading_block(build(12), n) == h
+        assert minor_sums(h) == leading[n] == _minor_sums_by_subsets(h)
 
 
 # --- characteristic polynomial --------------------------------------------

@@ -25,6 +25,16 @@ def table_off_by_one(fn):
     return lambda *args: [[v + 1 for v in row] for row in fn(*args)]
 
 
+def entry_off_by_one(fn, row, index):
+    # fn's rows with entry `index` of row `row` one too high
+    def mutant(*args):
+        rows = fn(*args)
+        rows[row][index] += 1
+        return rows
+
+    return mutant
+
+
 def rows_off_by_one(route):
     # triangle() with every value of one route's rows one too high
     def mutant(n_max, name, bound=None):
@@ -51,6 +61,9 @@ MUTATIONS = [
      ("trial", "a1", "iterated", "scaled-determinant")),
     ("minors", "minor-sums-are-convolved", "convolved_fib",
      off_by_one(verify.convolved_fib), (1, 0),
+     ("minor-sums", "series")),
+    ("minors", "minor-sums-are-convolved", "leading_minor_sums",
+     entry_off_by_one(verify.leading_minor_sums, 4, 2), (4, 2),
      ("minor-sums", "series")),
     ("charpoly", "charpoly-equals-shifted-fib-poly", "shift_poly",
      off_by_one(verify.shift_poly), (1, None),
