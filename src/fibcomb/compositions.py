@@ -11,8 +11,9 @@ Five independent routes compute the same triangle (OEIS A105422); each is a
                        G(x) = 1 + x^2/(1 - x - x^2) = (1 - x)/(1 - x - x^2),
                        so c(n, k), the coefficient of x^(n-k) in G(x)^(k+1),
                        is a signed binomial sum over row k+1 of the convolved
-                       table; a triangle row n shares one table of n+1 rows
-                       among its n+1 entries;
+                       table; a triangle row n shares one triangular table,
+                       row k+1 cut at index n-k, among its n+1 entries, and
+                       a triangle costs about n^3/6 additions;
 * ``recurrence``     - bottom-up recurrence peeling off the first part equal
                        to 1;
 * ``bitstring``      - count bit strings that start with 0 and
@@ -42,7 +43,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import prod
 
-from .convolved import convolved_table
+from .convolved import _convolved_rows, convolved_table
 from .fib import fib
 from .hessenberg import build_G, check_cap, leading_minor_sums
 from .poly import convolve
@@ -135,12 +136,13 @@ def c_formula(n: int, k: int, table: list[list[int]] | None = None) -> int:
     convolved table, O(k * (n-k)) additions, instead of an exponential
     tuple scan.
 
-    ``table``, if given, is a ``convolved_table`` with at least k+1 rows of
-    at least n-k+1 terms, and row k+1 is read from it instead of building
-    one; the value is the same.  A triangle row n passes one
-    ``convolved_table(n + 1, n + 1)`` to all n+1 entries, about n^2
-    additions for the row instead of about n^3/6, so a whole triangle costs
-    about n^3/3 additions.
+    ``table``, if given, holds rows r = 1, 2, ... of the convolved table,
+    at least k+1 of them, row k+1 of at least n-k+1 terms, and row k+1 is
+    read from it instead of building one; the value is the same.  A
+    ``convolved_table(n + 1, n + 1)`` serves every entry of row n, and so
+    does the triangular table that the formula route builds for it, row r
+    of n-r+2 terms: about n^2/2 additions for the row instead of about
+    n^3/6, so a whole triangle costs about n^3/6 additions.
     """
     return _ones_power_coefficient(n, k, 0, table)
 
@@ -258,8 +260,10 @@ class TriangleRow:
 
 def _formula_row(n: int) -> list[int]:
     # one table per row, not per triangle: bench/test_checks.py expects
-    # `fibcomb triangle 9` to call fib with repeated arguments
-    table = convolved_table(n + 1, n + 1)
+    # `fibcomb triangle 9` to call fib with repeated arguments.  c(n, k)
+    # reads row k+1 only up to index n-k, so the table is triangular, rows
+    # of n+1, n, ..., 1 terms: about n^2/2 additions, n^3/6 per triangle
+    table = _convolved_rows(range(n + 1, 0, -1))
     return [c_formula(n, k, table) for k in range(n + 1)]
 
 

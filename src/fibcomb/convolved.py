@@ -22,6 +22,8 @@ refuses.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import islice
 from math import comb
 
 from .fib import fib
@@ -71,15 +73,23 @@ def convolved_table(r_max: int, m_max: int) -> list[list[int]]:
     """
     if r_max < 1 or m_max < 1:
         raise ValueError(f"table bounds must be >= 1, got r_max={r_max}, m_max={m_max}")
-    table = [[fib(i + 1) for i in range(m_max)]]
-    for _ in range(r_max - 1):
+    return _convolved_rows([m_max] * r_max)
+
+
+def _convolved_rows(widths: Iterable[int]) -> list[list[int]]:
+    # rows r = 1, 2, ... of the convolved table, row r of widths[r-1] terms
+    # (widths must not grow), each from the one above by the recurrence of
+    # convolved_table in O(width) additions
+    widths = list(widths)
+    rows = [[fib(i + 1) for i in range(widths[0])]]
+    for width in widths[1:]:
         row = []
         before, last = 0, 0  # a[r][i-2], a[r][i-1]
-        for above in table[-1]:
+        for above in islice(rows[-1], width):
             before, last = last, above + last + before
             row.append(last)
-        table.append(row)
-    return table
+        rows.append(row)
+    return rows
 
 
 def convolved_fib_binomial(n: int, k: int) -> int:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import repeat
+from operator import add, mul
 
 
 class IntPolynomial:
@@ -65,12 +67,14 @@ class IntPolynomial:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        # instances are immutable, so a sum with zero can be the other operand
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial((*map(add, a, b), *a[len(b):]))
 
     def __sub__(self, other: IntPolynomial | int) -> IntPolynomial:
         other = _lift(other)
@@ -83,11 +87,16 @@ class IntPolynomial:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        # most entries of a Hessenberg matrix are zero: skip convolve's
-        # zero-filled output for them
-        if not a or not b:
+        if len(a) > 1 < len(b):
+            return IntPolynomial(convolve(a, b, len(a) + len(b) - 1))
+        # a zero or constant factor, as most Hessenberg entries are: return
+        # the other factor for 1, else scale it in one pass
+        constant, p = (a, other) if len(a) <= 1 else (b, self)
+        if constant == (1,):
+            return p
+        if not constant:
             return IntPolynomial()
-        return IntPolynomial(convolve(a, b, len(a) + len(b) - 1))
+        return IntPolynomial(map(mul, p.coeffs, repeat(constant[0])))
 
     __rmul__ = __mul__
 

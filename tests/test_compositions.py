@@ -8,6 +8,7 @@ from fibcomb.compositions import (
     ROUTES,
     TriangleRow,
     _count_by_ones,
+    _formula_row,
     bitstring_runs,
     c_bruteforce,
     c_formula,
@@ -17,7 +18,7 @@ from fibcomb.compositions import (
     enumerate_compositions,
     triangle,
 )
-from fibcomb.convolved import convolved_table
+from fibcomb.convolved import _convolved_rows, convolved_table
 from fibcomb.fib import fib
 from fibcomb.hessenberg import EnumerationBoundError, build_F, leading_minor_sums, minor_sums
 
@@ -100,6 +101,13 @@ def test_formula_reads_a_shared_table_like_its_own():
         table = convolved_table(n + 1, n + 1)
         for k in range(n + 1):
             assert c_formula(n, k, table) == c_formula(n, k)
+        # the formula route's triangular table is the full one cut at index
+        # n-k in row k+1, and gives the same row
+        cut = [row[: n + 1 - k] for k, row in enumerate(table)]
+        assert _convolved_rows(range(n + 1, 0, -1)) == cut
+        assert _formula_row(n) == [c_formula(n, k, table) for k in range(n + 1)]
+    for r, m in ((1, 1), (3, 7), (9, 4), (20, 31)):
+        assert _convolved_rows([m] * r) == convolved_table(r, m)
     with pytest.raises(ValueError):
         c_formula(4, 1, convolved_table(2, 3))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from fibcomb.compositions import triangle
 from fibcomb.fib import fib, fib_poly, shift_poly
 from fibcomb.hessenberg import (
     EnumerationBoundError,
@@ -387,6 +388,17 @@ def test_char_poly_coefficients_are_signed_minor_sums():
         p = char_poly(h)
         for k in range(n + 1):
             assert p.coefficient(k) == (-1) ** (n - k) * sums[n - k]
+
+
+def test_char_poly_of_G_has_the_composition_counts_as_coefficients():
+    # the paper's headline claim: c(n, k) up to sign is the coefficient of x^k
+    # in the characteristic polynomial of build_G(n), whose rows have tail 1
+    rows = triangle(120, "recurrence")
+    for n in range(1, 121):
+        p = char_poly(build_G(n))
+        assert p.degree == n
+        for k in range(n + 1):
+            assert p.coefficient(k) == (-1) ** (n - k) * rows[n].values[k]
 
 
 @given(hessenberg_matrices(max_order=5))

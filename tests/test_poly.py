@@ -100,8 +100,47 @@ def test_hashable_and_usable_in_sets():
     assert len({IntPolynomial((1, 2)), IntPolynomial((1, 2, 0))}) == 1
 
 
+def _double_sum_product(ac, bc):
+    # the schoolbook product, written out independently of convolve
+    out = [0] * (len(ac) + len(bc))
+    for i, a in enumerate(ac):
+        for j, b in enumerate(bc):
+            out[i + j] += a * b
+    return out
+
+
+def _normalised(p):
+    return not p.coeffs or p.coeffs[-1] != 0
+
+
 @given(small_coeffs, small_coeffs, st.integers(0, 8))
 def test_convolve_matches_product_prefix(ac, bc, length):
-    full = (IntPolynomial(ac) * IntPolynomial(bc)).coeffs
+    full = _double_sum_product(ac, bc)
     expected = [full[i] if i < len(full) else 0 for i in range(length)]
     assert convolve(ac, bc, length) == expected
+
+
+@given(small_coeffs, st.integers(-3, 3))
+def test_products_by_a_constant_match_the_double_sum(pc, c):
+    p = IntPolynomial(pc)
+    expected = IntPolynomial(_double_sum_product(pc, [c]))
+    for product in (p * c, c * p, p * IntPolynomial.constant(c), IntPolynomial.constant(c) * p):
+        assert product == expected
+        assert _normalised(product)
+
+
+@given(small_coeffs)
+def test_sums_with_zero_are_the_other_operand(pc):
+    p, zero = IntPolynomial(pc), IntPolynomial()
+    for total in (p + 0, zero + p, p + zero):
+        assert total == p
+        assert _normalised(total)
+    assert zero + zero == zero
+
+
+@given(small_coeffs, small_coeffs)
+def test_products_and_sums_are_normalised(ac, bc):
+    a, b = IntPolynomial(ac), IntPolynomial(bc)
+    assert a * b == IntPolynomial(_double_sum_product(ac, bc))
+    for result in (a * b, a + b, a - b):
+        assert _normalised(result)
