@@ -18,8 +18,11 @@ Five independent routes compute the same triangle (OEIS A105422); each is a
                        to 1;
 * ``bitstring``      - count bit strings that start with 0 and
                        have exactly k maximal runs of length 1, straight
-                       from each bit pattern: a popcount of adjacent run
-                       boundaries, a few int operations per string;
+                       from each bit pattern: each string's singles are the
+                       popcount of adjacent run boundaries, worked out in
+                       its own lane of a few ints that hold one bit of
+                       2^16 patterns each (a fixed block size), the same
+                       strings counted at O(n 2^n / 64) word operations;
 * ``minors``         - brute-force principal-minor sums of build_G(n), the
                        leading n-block of build_G(n_max): one walk over the
                        2^n_max index subsets gives every row.
@@ -233,19 +236,59 @@ def _bit_runs(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(runs)
 
 
+# Lanes per block of the bit-sliced scan: one int of 2^16 bits (8 KiB) per
+# plane, mark and counter digit.  Measured on triangle(24, "bitstring")
+# under CPython 3.11: 2^16 lanes is the fastest block and adds nothing to
+# the 16 MB resident after import; 2^12 lanes take twice the time, 2^20
+# add 13 MB, and one block per length (2^23 lanes at n = 24) adds 100 MB.
+_BLOCK_BITS = 16
+
+
 def _bitstring_row(n: int) -> list[int]:
     # counts[k] = length-n bit strings starting with 0 that have k singles.
     # Read pattern p < 2^(n-1) as such a string, its top bit the leading 0.
-    # Bit i+1 of d marks a run boundary between bits i and i+1 of p, and
-    # bits 0 and n mark the two ends, so a single is two adjacent marks.
+    # Bit-sliced: each int below holds one bit of many patterns, lane p of
+    # it for pattern p.  Mark i is a run boundary before bit i of p (marks 0
+    # and n are the two ends), so a single is two adjacent marks, and a
+    # vertical binary counter adds up each lane's singles.
     counts = [0] * (n + 1)
     if n == 0:
         counts[0] = 1  # the empty string has no runs
         return counts
-    ends = 1 | 1 << n
-    for p in range(1 << (n - 1)):
-        d = (p ^ (p >> 1)) << 1 | ends
-        counts[(d & (d >> 1)).bit_count()] += 1
+    lane_bits = min(n - 1, _BLOCK_BITS)
+    lanes = 1 << lane_bits
+    full = (1 << lanes) - 1
+    # plane i for the low bits: 2^i clear lanes then 2^i set ones, doubled
+    # into place across every lane
+    low = []
+    for i in range(lane_bits):
+        half = 1 << i
+        plane, width = ((1 << half) - 1) << half, 2 * half
+        while width < lanes:
+            plane |= plane << width
+            width *= 2
+        low.append(plane)
+    high_bits = n - 1 - lane_bits
+    for block in range(1 << high_bits):
+        # the higher bits of p are the block's, the same in every lane, and
+        # the leading bit is 0
+        planes = low + [full if block >> i & 1 else 0 for i in range(high_bits)] + [0]
+        marks = [full, *map(int.__xor__, planes, planes[1:]), full]
+        digits = []  # the counter, lowest digit first
+        for carry in map(int.__and__, marks, marks[1:]):
+            for t, digit in enumerate(digits):
+                if not carry:
+                    break
+                digits[t], carry = digit ^ carry, digit & carry
+            if carry:
+                digits.append(carry)
+        # split the lanes by each digit in turn: spelled[k] holds the lanes
+        # whose counter reads k
+        spelled = [full]
+        for digit in digits:
+            spelled = [s & ~digit for s in spelled] + [s & digit for s in spelled]
+        for k, s in zip(range(n + 1), spelled):
+            counts[k] += s.bit_count()
     return counts
 
 

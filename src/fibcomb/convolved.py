@@ -12,17 +12,19 @@ itself.  Row r = 1 is the Fibonacci sequence.  The same numbers fall out of
 which lets each route act as a check on the others.  ``convolved_series``
 and ``convolved_fib`` keep the convolution definition (r-1 truncated
 convolutions, O(r·m^2)), and ``verify`` checks the other routes against
-them.  A whole table (``convolved_table``) comes from the linear row
-recurrence of (1 - x - x^2)^(-r) instead, and is checked against both the
-series and the binomial sum.  ``fibcomb convolved R M`` prints one value by
-the binomial sum, ``convolved_fib_binomial(M+R-2, R-1)``: O(M) exact
-binomials, after ``check_convolved_args`` has refused what ``convolved_fib``
-refuses.
+them; one chain of convolutions gives every order at once, each row the
+row before convolved with row 1, so the series of orders 1..r cost what
+order r alone does.  A whole table (``convolved_table``) comes from the
+linear row recurrence of (1 - x - x^2)^(-r) instead, and is checked
+against both the series and the binomial sum.  ``fibcomb convolved R M``
+prints one value by the binomial sum, ``convolved_fib_binomial(M+R-2,
+R-1)``: O(M) exact binomials, after ``check_convolved_args`` has refused
+what ``convolved_fib`` refuses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from math import comb
 
@@ -47,11 +49,23 @@ def convolved_series(r: int, length: int) -> list[int]:
     _check_order(r)
     if length < 0:
         raise ValueError(f"series length must be >= 0, got {length}")
-    base = [fib(i + 1) for i in range(length)]
-    series = base[:]
-    for _ in range(r - 1):
-        series = convolve(series, base, length)
+    for series in _series_rows([length] * r):
+        pass
     return series
+
+
+def _series_rows(widths: Iterable[int]) -> Iterator[list[int]]:
+    # rows r = 1, 2, ... of the convolved table by the convolution
+    # definition, row r of widths[r-1] terms (widths must not grow): row 1
+    # is fib(i+1), and each further row is the row before convolved with
+    # row 1, cut to its width.  A generator, so two rows are live at a time.
+    widths = iter(widths)
+    base = [fib(i + 1) for i in range(next(widths))]
+    series = base
+    yield series
+    for width in widths:
+        series = convolve(series, base, width)
+        yield series
 
 
 def convolved_fib(r: int, m: int) -> int:

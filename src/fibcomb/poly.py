@@ -76,11 +76,19 @@ class IntPolynomial:
             a, b = b, a
         return IntPolynomial((*map(add, a, b), *a[len(b):]))
 
+    __radd__ = __add__
+
     def __sub__(self, other: IntPolynomial | int) -> IntPolynomial:
         other = _lift(other)
         if other is None:
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other: int) -> IntPolynomial:
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
         other = _lift(other)

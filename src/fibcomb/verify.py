@@ -42,10 +42,10 @@ from .compositions import (
     triangle,
 )
 from .convolved import (
+    _series_rows,
     alternating_sum,
     convolved_fib,
     convolved_fib_binomial,
-    convolved_series,
     convolved_table,
 )
 from .fib import fib, fib_poly, shift_poly
@@ -166,8 +166,9 @@ def _triangle_cases(n_max: int, routes: tuple[str, ...], bound: int | None) -> I
 
 def _binomial_cases(n_max: int) -> Iterator[Case]:
     # a generator, so the series and the table are built inside the check's
-    # timing; one series per order, not one per entry
-    series = [convolved_series(k + 1, n_max - k + 1) for k in range(n_max + 1)]
+    # timing; one chain of convolutions gives every order, order k+1 cut at
+    # index n_max-k, the last one read
+    series = list(_series_rows(range(n_max + 1, 0, -1)))
     table = convolved_table(n_max + 1, n_max + 1)
     for n in range(n_max + 1):
         for k in range(n + 1):
@@ -248,25 +249,31 @@ def _adjugate(limit, bound, seed):
     }
 
 
+def _lazy_table(size: int) -> Iterator[list[list[int]]]:
+    # a generator, so the table is built inside the check's timing
+    yield convolved_table(size, size)
+
+
 def _compositions(limit, bound, seed):
-    rows = range(limit(30) + 1)
+    rows = range(limit(30) + 1)  # each formula check reads one table for all rows
     return {
         "route-agreement": _triangle_cases(
             limit(18), ("formula", "bruteforce", "recurrence", "bitstring"), bound),
         "minor-route-agreement": _triangle_cases(
             min(14, limit(18)), ("formula", "minors"), bound),
         "row-sums": (
-            (n, None, {"row-sum": sum(c_formula(n, k) for k in range(n + 1)),
+            (n, None, {"row-sum": sum(c_formula(n, k, table) for k in range(n + 1)),
                        "power": 2 ** (n - 1)})
-            for n in rows[1:]
+            for table in _lazy_table(len(rows)) for n in rows[1:]
         ),
         "edge-columns": (
-            (n, None, {"c(n,0)": c_formula(n, 0), "fib(n-1)": fib(n - 1),
-                       "c(n,n)": c_formula(n, n)})
-            for n in rows
+            (n, None, {"c(n,0)": c_formula(n, 0, table), "fib(n-1)": fib(n - 1),
+                       "c(n,n)": c_formula(n, n, table)})
+            for table in _lazy_table(len(rows)) for n in rows
         ),
         "penultimate-zero": (
-            (n, n - 1, {"c(n,n-1)": c_formula(n, n - 1), "expected": 0}) for n in rows[2:]
+            (n, n - 1, {"c(n,n-1)": c_formula(n, n - 1, table), "expected": 0})
+            for table in _lazy_table(len(rows)) for n in rows[2:]
         ),
     }
 

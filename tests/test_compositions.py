@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from fibcomb.compositions import (
     ROUTES,
     TriangleRow,
+    _bitstring_row,
     _count_by_ones,
     _formula_row,
     bitstring_runs,
@@ -172,6 +173,36 @@ def test_bitstring_row_counts_the_runs():
         counts = _count_by_ones(bitstring_runs(n), n)
         assert rows[n].values == tuple(counts)
         assert rows[n].values[n // 2] == counts[n // 2]
+
+
+def _bitstring_row_pattern_by_pattern(n):
+    # test-local oracle: one loop step per pattern.  Read p < 2^(n-1) as a
+    # string starting with 0; bit i+1 of d marks a run boundary between
+    # bits i and i+1 of p, bits 0 and n the two ends, so a single is two
+    # adjacent marks
+    counts = [0] * (n + 1)
+    if n == 0:
+        counts[0] = 1
+        return counts
+    ends = 1 | 1 << n
+    for p in range(1 << (n - 1)):
+        d = (p ^ (p >> 1)) << 1 | ends
+        counts[(d & (d >> 1)).bit_count()] += 1
+    return counts
+
+
+def test_bit_sliced_scan_matches_the_pattern_by_pattern_scan():
+    # rows 18-20 take more than one block of lanes
+    for n in range(21):
+        row = _bitstring_row(n)
+        assert row == _bitstring_row_pattern_by_pattern(n)
+        if n >= 1:
+            assert sum(row) == 2 ** (n - 1)
+
+
+def test_bitstring_triangle_at_its_cap_matches_the_recurrence():
+    bitstring, recurrence = triangle(24, "bitstring"), triangle(24, "recurrence")
+    assert [row.values for row in bitstring] == [row.values for row in recurrence]
 
 
 def test_bruteforce_walk_counts_the_enumerated_compositions():

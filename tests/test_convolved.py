@@ -1,6 +1,7 @@
 import pytest
 
 from fibcomb.convolved import (
+    _series_rows,
     alternating_sum,
     convolved_fib,
     convolved_fib_binomial,
@@ -50,6 +51,32 @@ def test_table_rows_equal_the_convolution_series():
     for m in (1, 2, 3, 60):
         for r in range(1, 13):
             assert convolved_table(r, m) == [convolved_series(q, m) for q in range(1, r + 1)]
+
+
+def _double_sum_power(r, length):
+    # first `length` terms of (sum fib(i+1) x^i)^r, one schoolbook product
+    # at a time, written out independently of convolve
+    base = [fib(i + 1) for i in range(length)]
+    power = [1] + [0] * (length - 1) if length else []
+    for _ in range(r):
+        out = [0] * length
+        for i, a in enumerate(power):
+            for j, b in enumerate(base[: length - i]):
+                out[i + j] += a * b
+        power = out
+    return power
+
+
+def test_series_rows_are_the_convolution_powers():
+    for m in range(31):
+        for r in range(1, 9):
+            *_, last = _series_rows([m] * r)
+            assert last == convolved_series(r, m) == _double_sum_power(r, m)
+    # shrinking widths cut each order where it ends, as verify reads them
+    rows = list(_series_rows(range(31, 0, -1)))
+    assert [len(row) for row in rows] == list(range(31, 0, -1))
+    for r, row in enumerate(rows, start=1):
+        assert row == convolved_series(r, len(row))
 
 
 def test_large_table_matches_the_binomial_route():

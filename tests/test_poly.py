@@ -144,3 +144,31 @@ def test_products_and_sums_are_normalised(ac, bc):
     assert a * b == IntPolynomial(_double_sum_product(ac, bc))
     for result in (a * b, a + b, a - b):
         assert _normalised(result)
+
+
+def _coefficient_wise(ac, bc, sign=1):
+    # ac + sign * bc, coefficient by coefficient, trailing zeros dropped
+    out = [0] * max(len(ac), len(bc))
+    for i, a in enumerate(ac):
+        out[i] += a
+    for i, b in enumerate(bc):
+        out[i] += sign * b
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@given(st.lists(small_coeffs, max_size=4), st.integers(-3, 3))
+def test_an_int_on_the_left_adds_and_subtracts(pcs, c):
+    ps = [IntPolynomial(pc) for pc in pcs]
+    for pc, p in zip(pcs, ps):
+        for result, expected in ((c + p, _coefficient_wise([c], pc)),
+                                 (c - p, _coefficient_wise([c], pc, -1))):
+            assert isinstance(result, IntPolynomial)
+            assert result.coeffs == expected
+    total = ()
+    for pc in pcs:
+        total = _coefficient_wise(total, pc)
+    assert sum(ps) == IntPolynomial(total)
+    if ps:
+        assert isinstance(sum(ps), IntPolynomial)

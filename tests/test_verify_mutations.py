@@ -17,10 +17,6 @@ def off_by_one(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + 1
 
 
-def series_off_by_one(fn):
-    return lambda *args: [v + 1 for v in fn(*args)]
-
-
 def table_off_by_one(fn):
     return lambda *args: [[v + 1 for v in row] for row in fn(*args)]
 
@@ -77,8 +73,8 @@ MUTATIONS = [
     ("charpoly", "binomial-route-agrees", "convolved_table",
      table_off_by_one(verify.convolved_table), (0, 0),
      ("binomial", "series", "table")),
-    ("charpoly", "binomial-route-agrees", "convolved_series",
-     series_off_by_one(verify.convolved_series), (0, 0),
+    ("charpoly", "binomial-route-agrees", "_series_rows",
+     table_off_by_one(verify._series_rows), (0, 0),
      ("binomial", "series", "table")),
     ("identity24", "alternating-sum-is-fibonacci", "alternating_sum",
      off_by_one(verify.alternating_sum), (0, None),
