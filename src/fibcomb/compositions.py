@@ -6,7 +6,9 @@ Five independent routes compute the same triangle (OEIS A105422); each is a
 * ``bruteforce``     - count every composition of every m <= n_max in one
                        walk of their prefix tree, 2^n_max nodes for the
                        whole triangle, each counted in O(1) from its
-                       parent's ones count;
+                       parent's ones count; the last two levels are counted
+                       in place, one increment per composition, without
+                       going on the walk's stack;
 * ``formula``        - the explicit formula in convolved Fibonacci numbers:
                        G(x) = 1 + x^2/(1 - x - x^2) = (1 - x)/(1 - x - x^2),
                        so c(n, k), the coefficient of x^(n-k) in G(x)^(k+1),
@@ -319,19 +321,30 @@ def _bruteforce_triangle(n_max: int) -> list[list[int]]:
     # One walk of the prefix tree of compositions: a node is a composition of
     # some m <= n_max, and its children append one part p <= n_max - m.  A
     # child is counted when its parent extends it, from the parent's ones
-    # count plus whether p is 1, and only a child with m < n_max, which has
-    # children of its own, goes on the stack.  Every composition of every
-    # m <= n_max is counted once, 2^n_max in all (the root is the empty one).
+    # count plus whether p is 1.  The last two levels are counted in place:
+    # a child of n_max - 1 has one child (p = 1), and a child of n_max - 2
+    # has three descendants (p = 1, then p = 1 again, and p = 2), each given
+    # its own increment on the last two rows; only a child with m < n_max - 2
+    # goes on the stack.  Every composition of every m <= n_max is counted
+    # once, 2^n_max in all (the root is the empty one).
     counts = [[0] * (m + 1) for m in range(n_max + 1)]
     counts[0][0] = 1
+    last, second = counts[n_max], counts[n_max - 1]  # second unused below n_max = 2
     stack = [(0, 0)]  # (m, ones) of each node still to extend
     while stack:
         m, ones = stack.pop()
         for p in range(1, n_max - m + 1):
             child = ones + (p == 1)
             counts[m + p][child] += 1
-            if m + p < n_max:
+            below = n_max - m - p  # levels under the child
+            if below > 2:
                 stack.append((m + p, child))
+            elif below == 2:
+                second[child + 1] += 1
+                last[child + 2] += 1
+                last[child] += 1
+            elif below == 1:
+                last[child + 1] += 1
     return counts
 
 

@@ -292,12 +292,15 @@ def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[li
     elimination by one row: the new row is reduced against the pivot rows
     on the path, O(k*n) for a k-subset instead of a fresh O(k^3)
     elimination, and since every row is carried over all later columns the
-    new column is already reduced.  A column with no pivot among the rows
-    present leaves the minor 0 and the elimination stalled there until a
-    later row supplies the pivot.  A subset whose largest index is j is a
-    principal minor of every leading block of order above j, so each minor
-    is added to the bucket of its largest index, and row m is the sum of
-    the buckets below m: one walk serves all n+1 blocks.  Shares no code
+    new column is already reduced.  A pivot whose column is 0 in the row
+    only scales it, so each run of such zero-entry steps is folded into one
+    exact scaling; row j is 0 before column j-1, so extending a path costs
+    one scaling and at most one real step.  A column with no pivot among
+    the rows present leaves the minor 0 and the elimination stalled there
+    until a later row supplies the pivot.  A subset whose largest index is
+    j is a principal minor of every leading block of order above j, so each
+    minor is added to the bucket of its largest index, and row m is the sum
+    of the buckets below m: one walk serves all n+1 blocks.  Shares no code
     with ``det``, ``char_poly`` or ``det_oracle``.
     """
     check_cap("minors", h.n, bound)
@@ -320,10 +323,24 @@ def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[li
             stack.pop()
             continue
         top[1] = j + 1
-        row, start, prev = full[j], 0, 1
+        # A pivot whose column is 0 in the row only scales the row by p / prev,
+        # and a run of such steps telescopes to (last pivot) / (prev before
+        # the run).  So the row is kept unscaled, base is prev before the run,
+        # and one exact pass scales it by prev / base before the next
+        # nonzero-entry step or at the end of the path.
+        row, start, prev, base = full[j], 0, 1, 1
         for col, pivot_row in pivots:
-            row = _bareiss_step(row[col - start :], pivot_row, prev)
-            start, prev = col, pivot_row[0]
+            if row[col - start]:
+                row = row[col - start :]
+                if prev != base:
+                    row = [prev * x // base for x in row]
+                row = _bareiss_step(row, pivot_row, prev)
+                start, base = col, pivot_row[0]
+            prev = pivot_row[0]
+        if pivots:
+            row, start = row[pivots[-1][0] - start :], pivots[-1][0]
+            if prev != base:
+                row = [prev * x // base for x in row]
         kept += (j,)
         pivots = pivots[:]
         rows = [*pending, (start, row)]

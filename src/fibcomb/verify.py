@@ -44,7 +44,6 @@ from .compositions import (
 from .convolved import (
     _series_rows,
     alternating_sum,
-    convolved_fib,
     convolved_fib_binomial,
     convolved_table,
 )
@@ -164,11 +163,21 @@ def _triangle_cases(n_max: int, routes: tuple[str, ...], bound: int | None) -> I
             yield n, k, {route: rows[n].values[k] for route, rows in tables.items()}
 
 
+def _series_table(n_max: int) -> list[list[int]]:
+    # orders 1..n_max+1 of the convolution series from one chain, order k+1
+    # cut at index n_max-k: entry [k][n-k] is convolved_fib(k+1, n-k+1)
+    return list(_series_rows(range(n_max + 1, 0, -1)))
+
+
+def _lazy(build, *args) -> Iterator:
+    # a generator, so what it builds is built inside the check's timing
+    yield build(*args)
+
+
 def _binomial_cases(n_max: int) -> Iterator[Case]:
     # a generator, so the series and the table are built inside the check's
-    # timing; one chain of convolutions gives every order, order k+1 cut at
-    # index n_max-k, the last one read
-    series = list(_series_rows(range(n_max + 1, 0, -1)))
+    # timing
+    series = _series_table(n_max)
     table = convolved_table(n_max + 1, n_max + 1)
     for n in range(n_max + 1):
         for k in range(n + 1):
@@ -178,15 +187,17 @@ def _binomial_cases(n_max: int) -> Iterator[Case]:
 
 
 def _minor_sum_cases(n_max: int, bound: int | None) -> Iterator[Case]:
-    # a generator, so the walk runs inside the check's timing; build_F(n) is
-    # the leading n-block of build_F(n_max), so one walk gives every order
+    # a generator, so the walk and the series run inside the check's timing;
+    # build_F(n) is the leading n-block of build_F(n_max), so one walk gives
+    # every order
     if n_max < 1:
         return
     leading = leading_minor_sums(build_F(n_max), bound)
+    series = _series_table(n_max)
     for n in range(1, n_max + 1):
         sums = leading[n]
         for k in range(n):
-            yield n, k, {"minor-sums": sums[n - k], "series": convolved_fib(k + 1, n - k + 1)}
+            yield n, k, {"minor-sums": sums[n - k], "series": series[k][n - k]}
 
 
 # Each suite takes limit (default index bound -> the bound in force), the
@@ -215,7 +226,8 @@ def _charpoly(limit, bound, seed):
         ),
         "charpoly-coefficients-are-convolved": (
             (n, k, {"coefficient": p.coefficient(k),
-                    "signed-convolved": (-1) ** (n - k) * convolved_fib(k + 1, n - k + 1)})
+                    "signed-convolved": (-1) ** (n - k) * series[k][n - k]})
+            for series in _lazy(_series_table, limit(15))
             for n in range(1, limit(15) + 1)
             for p in [char_poly(build_F(n))]
             for k in range(n + 1)
@@ -249,13 +261,9 @@ def _adjugate(limit, bound, seed):
     }
 
 
-def _lazy_table(size: int) -> Iterator[list[list[int]]]:
-    # a generator, so the table is built inside the check's timing
-    yield convolved_table(size, size)
-
-
 def _compositions(limit, bound, seed):
     rows = range(limit(30) + 1)  # each formula check reads one table for all rows
+    size = len(rows)
     return {
         "route-agreement": _triangle_cases(
             limit(18), ("formula", "bruteforce", "recurrence", "bitstring"), bound),
@@ -264,16 +272,16 @@ def _compositions(limit, bound, seed):
         "row-sums": (
             (n, None, {"row-sum": sum(c_formula(n, k, table) for k in range(n + 1)),
                        "power": 2 ** (n - 1)})
-            for table in _lazy_table(len(rows)) for n in rows[1:]
+            for table in _lazy(convolved_table, size, size) for n in rows[1:]
         ),
         "edge-columns": (
             (n, None, {"c(n,0)": c_formula(n, 0, table), "fib(n-1)": fib(n - 1),
                        "c(n,n)": c_formula(n, n, table)})
-            for table in _lazy_table(len(rows)) for n in rows
+            for table in _lazy(convolved_table, size, size) for n in rows
         ),
         "penultimate-zero": (
             (n, n - 1, {"c(n,n-1)": c_formula(n, n - 1, table), "expected": 0})
-            for table in _lazy_table(len(rows)) for n in rows[2:]
+            for table in _lazy(convolved_table, size, size) for n in rows[2:]
         ),
     }
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -341,6 +342,18 @@ def test_minor_sums_equal_the_sum_over_every_subset(h):
     leading = leading_minor_sums(h)
     assert leading == [_minor_sums_by_subsets(_leading_block(h, m)) for m in range(h.n + 1)]
     assert minor_sums(h) == leading[-1]
+
+
+def test_minor_sums_with_nontrivial_pivots_equal_the_sum_over_every_subset():
+    # zero-heavy rows make long runs of zero-entry steps, and pivots other
+    # than +-1 make the one scaling that replaces each run more than a sign
+    rng = random.Random(18)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        h = HessenbergMatrix(
+            [rng.choice((0, 0, 0, 2, -3, 5)) for _ in range(n - i)] for i in range(n))
+        assert leading_minor_sums(h) == [
+            _minor_sums_by_subsets(_leading_block(h, m)) for m in range(n + 1)]
 
 
 @pytest.mark.parametrize("build", [build_F, build_G])

@@ -55,8 +55,8 @@ MUTATIONS = [
     ("thm11", "random-tables", "recurrence_term",
      off_by_one(verify.recurrence_term), (7, None),
      ("trial", "a1", "iterated", "scaled-determinant")),
-    ("minors", "minor-sums-are-convolved", "convolved_fib",
-     off_by_one(verify.convolved_fib), (1, 0),
+    ("minors", "minor-sums-are-convolved", "_series_rows",
+     table_off_by_one(verify._series_rows), (1, 0),
      ("minor-sums", "series")),
     ("minors", "minor-sums-are-convolved", "leading_minor_sums",
      entry_off_by_one(verify.leading_minor_sums, 4, 2), (4, 2),
@@ -66,6 +66,9 @@ MUTATIONS = [
      ("char-poly", "shifted-fib-poly")),
     ("charpoly", "charpoly-coefficients-are-convolved", "char_poly",
      off_by_one(verify.char_poly), (1, 0),
+     ("coefficient", "signed-convolved")),
+    ("charpoly", "charpoly-coefficients-are-convolved", "_series_rows",
+     table_off_by_one(verify._series_rows), (1, 0),
      ("coefficient", "signed-convolved")),
     ("charpoly", "binomial-route-agrees", "convolved_fib_binomial",
      off_by_one(verify.convolved_fib_binomial), (0, 0),
