@@ -13,7 +13,9 @@ independent evidence:
   heads hold at most two entries.  ``char_poly`` runs the same walk over
   polynomial entries.
 * ``det_oracle`` is fraction-free Bareiss elimination on a dense matrix and
-  shares no code with ``det``.
+  shares no code with ``det``.  It defers each step whose factor is 0 into
+  one exact scaling per run, so on Hessenberg input, where one row per
+  column has a nonzero factor, it makes O(n^2) operations, not O(n^3).
 
 ``leading_minor_sums`` is the brute-force ground truth for sums of
 principal minors.  It visits all 2^n index subsets in one depth-first walk
@@ -203,6 +205,15 @@ def det_oracle(matrix: DenseMatrix) -> int:
     Fraction-free: every division is exact.  Serves as the independent ground
     truth against ``det`` and shares no code with it.  The empty matrix has
     determinant 1.
+
+    A step whose factor is 0 only scales its row by pivot / prev, so such
+    steps are skipped, and each row keeps ``base``, the prev it was last
+    brought up to, swapped together with the row.  The skipped run then
+    telescopes to one exact scaling by prev / base: the row's next real step
+    divides by its base instead of prev, a row scales by it when it becomes
+    the pivot row, and the last entry scales by it at the end.  On
+    Hessenberg input only the subdiagonal row has a nonzero factor at each
+    column, so the elimination makes O(n^2) operations, not O(n^3).
     """
     n = len(matrix)
     m = [list(row) for row in matrix]
@@ -211,6 +222,8 @@ def det_oracle(matrix: DenseMatrix) -> int:
             raise ValueError("matrix must be square")
     if n == 0:
         return 1
+    # the true row r is the stored one times prev / base[r]
+    base = [1] * n
     sign = 1
     prev = 1
     for col in range(n - 1):
@@ -218,22 +231,30 @@ def det_oracle(matrix: DenseMatrix) -> int:
             for r in range(col + 1, n):
                 if m[r][col]:
                     m[col], m[r] = m[r], m[col]
+                    base[col], base[r] = base[r], base[col]
                     sign = -sign
                     break
             else:
                 return 0
         pivot_row = m[col]
+        if base[col] != prev:
+            pivot_row[col:] = [prev * x // base[col] for x in pivot_row[col:]]
         pivot = pivot_row[col]
         for r in range(col + 1, n):
             row = m[r]
             factor = row[col]
-            row[col + 1 :] = [
-                (pivot * x - factor * y) // prev
-                for x, y in zip(row[col + 1 :], pivot_row[col + 1 :])
-            ]
-            row[col] = 0
+            if factor:
+                # (pivot * x' - factor' * y) / prev with x' = x * prev / b and
+                # factor' = factor * prev / b is (pivot * x - factor * y) / b
+                b = base[r]
+                row[col + 1 :] = [
+                    (pivot * x - factor * y) // b
+                    for x, y in zip(row[col + 1 :], pivot_row[col + 1 :])
+                ]
+                row[col] = 0
+                base[r] = pivot
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] * prev // base[n - 1]
 
 
 def dense_cofactor(matrix: DenseMatrix, i: int, j: int) -> int:
@@ -297,7 +318,12 @@ def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[li
     exact scaling; row j is 0 before column j-1, so extending a path costs
     one scaling and at most one real step.  A column with no pivot among
     the rows present leaves the minor 0 and the elimination stalled there
-    until a later row supplies the pivot.  A subset whose largest index is
+    until a later row supplies the pivot.  The rows present are all 0 in
+    that column, so only the newest row of an extension can end the stall,
+    and only that row is tested there: while it is 0, the extension stays
+    stalled and shares its parent's pivots.  (On Hessenberg input only row
+    c+1 can end a stall at column c, ahead of exactly one pending row.)
+    A subset whose largest index is
     j is a principal minor of every leading block of order above j, so each
     minor is added to the bucket of its largest index, and row m is the sum
     of the buckets below m: one walk serves all n+1 blocks.  Shares no code
@@ -342,23 +368,28 @@ def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[li
             if prev != base:
                 row = [prev * x // base for x in row]
         kept += (j,)
-        pivots = pivots[:]
         rows = [*pending, (start, row)]
-        while len(pivots) < len(kept):
-            col = kept[len(pivots)]
-            for pos, (start, row) in enumerate(rows):
-                if row[col - start]:
-                    break
+        # A stalled parent's pending rows are all 0 in its stalled column, so
+        # only the new row can end the stall: while it is 0 there too, the
+        # child stays stalled on the parent's pivots, shared without a copy.
+        # Otherwise the search finds it at pos = len(pending).
+        if not pending or row[kept[len(pivots)] - start]:
+            pivots = pivots[:]
+            while len(pivots) < len(kept):
+                col = kept[len(pivots)]
+                for pos, (start, row) in enumerate(rows):
+                    if row[col - start]:
+                        break
+                else:
+                    break  # stalled: no row present has a pivot in this column
+                del rows[pos]
+                pivot_row = row[col - start :]
+                rows = [(col, _bareiss_step(r[col - s :], pivot_row, prev)) for s, r in rows]
+                pivots.append((col, pivot_row))
+                sign = -sign if pos % 2 else sign  # it moves ahead of pos earlier rows
+                prev = pivot_row[0]
             else:
-                break  # stalled: no row present has a pivot in this column
-            del rows[pos]
-            pivot_row = row[col - start :]
-            rows = [(col, _bareiss_step(r[col - s :], pivot_row, prev)) for s, r in rows]
-            pivots.append((col, pivot_row))
-            sign = -sign if pos % 2 else sign  # it moves ahead of pos earlier rows
-            prev = pivot_row[0]
-        else:
-            by_top[j][len(kept)] += sign * prev
+                by_top[j][len(kept)] += sign * prev
         if j + 1 < n:
             stack.append([(kept, pivots, rows, sign), j + 1])
     sums = [[1]]

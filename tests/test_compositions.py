@@ -213,16 +213,16 @@ def test_bruteforce_walk_counts_the_enumerated_compositions():
 
 def test_bruteforce_walk_visits_each_composition_of_each_m_once():
     # each node of the prefix tree, on the walk's stack or counted in place on
-    # the last two levels, adds one to one count, so the counts total the
+    # the last three levels, adds one to one count, so the counts total the
     # nodes: the compositions of every m <= N, 1 + sum 2^(m-1) = 2^N
-    for n_max in range(17):
+    for n_max in range(21):
         assert sum(sum(row.values) for row in triangle(n_max, "bruteforce")) == 2 ** n_max
 
 
 @pytest.mark.parametrize("n_max", range(21))
 def test_bruteforce_walk_matches_the_recurrence(n_max):
-    # the levels counted in place move with n_max; 0..3 are the cases where
-    # the root itself is on one of them or just above
+    # the three levels counted in place move with n_max; 0..4 are the cases
+    # where the root itself is on one of them or just above
     bruteforce, recurrence = triangle(n_max, "bruteforce"), triangle(n_max, "recurrence")
     assert [row.values for row in bruteforce] == [row.values for row in recurrence]
 

@@ -84,6 +84,19 @@ def square_matrices(draw, max_order=5):
     ]
 
 
+@st.composite
+def zero_heavy_square_matrices(draw, max_order=8):
+    # mostly zero entries and a zero diagonal: most elimination steps have a
+    # zero factor, and each pivot column needs a row swap, often of a row
+    # that has skipped a run of steps and still carries its deferred scaling
+    n = draw(st.integers(0, max_order))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 0
+    return rows
+
+
 # --- construction ---------------------------------------------------------
 
 
@@ -240,6 +253,20 @@ def test_det_oracle_matches_cofactor_expansion(m):
     assert det_oracle(m) == _det_cofactor(m)
 
 
+@given(zero_heavy_square_matrices())
+@settings(max_examples=300, deadline=None)
+def test_det_oracle_with_deferred_scalings_matches_cofactor_expansion(m):
+    assert det_oracle(m) == _det_cofactor(m)
+
+
+def test_det_oracle_of_the_families_up_to_order_60():
+    # on Hessenberg input only the subdiagonal row has a nonzero factor at
+    # each column, so the oracle makes O(n^2) steps
+    for n in range(1, 61):
+        assert det_oracle(build_F(n).materialize()) == fib(n + 1)
+        assert det_oracle(build_G(n).materialize()) == fib(n - 1)
+
+
 # --- principal minors -----------------------------------------------------
 
 
@@ -354,6 +381,36 @@ def test_minor_sums_with_nontrivial_pivots_equal_the_sum_over_every_subset():
             [rng.choice((0, 0, 0, 2, -3, 5)) for _ in range(n - i)] for i in range(n))
         assert leading_minor_sums(h) == [
             _minor_sums_by_subsets(_leading_block(h, m)) for m in range(n + 1)]
+
+
+def test_minor_sums_with_zero_diagonals_equal_the_sum_over_every_subset():
+    # a zero diagonal stalls the first kept column of many subsets; each
+    # extension of a stalled subset tests only the new row there
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        h = HessenbergMatrix(
+            [0, *(rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n - i - 1))]
+            for i in range(n))
+        assert leading_minor_sums(h) == [
+            _minor_sums_by_subsets(_leading_block(h, m)) for m in range(n + 1)]
+
+
+def test_a_new_row_that_ends_a_stall_flips_the_sign_behind_one_pending_row():
+    # On Hessenberg input a stall at column c ends only when row c+1, with
+    # its -1 below the diagonal, is added, and then exactly one row is
+    # pending, an odd number.  Here {1, 2} stalls at column 1 on row 1; row 2
+    # ends the stall ahead of it (a flip) and row 1 takes column 2 as -3, so
+    # the minor is 3, not -3.  Adding row 3 to {1, 2}, which is not stalled,
+    # leaves no row pending, an even number: row 3 takes column 3 without a
+    # flip, and the minor is det(h) = 14.
+    h = HessenbergMatrix([[0, 3, 2], [5, 1], [4]])
+    assert principal_minor(h, [3]) == 3
+    assert det(h) == 14
+    leading = leading_minor_sums(h)
+    assert leading[2][2] == 3
+    assert leading[3][3] == 14
+    assert leading == [_minor_sums_by_subsets(_leading_block(h, m)) for m in range(4)]
 
 
 @pytest.mark.parametrize("build", [build_F, build_G])
