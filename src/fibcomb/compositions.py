@@ -36,8 +36,8 @@ composition and every subset is still visited, but each triangle costs one
 walk (``bitstring`` scans the patterns of each length once), not one walk
 per row.
 
-``c_bruteforce``, ``c_formula`` and ``c_recurrence`` give one entry by the
-first three routes.  Enumeration caps live in ``fibcomb.hessenberg.CAPS``.
+``c_formula`` and ``c_recurrence`` give one entry by the ``formula`` and
+``recurrence`` routes.  Enumeration caps live in ``fibcomb.hessenberg.CAPS``.
 
 Boundary conventions: c(0, 0) = 1 (the empty composition), and c(m, k) = 0
 for k < 0, k > m, or m < 0.  Row 0 of the bit-string route counts the empty
@@ -55,57 +55,12 @@ from .fib import fib
 from .hessenberg import build_G, check_cap, leading_minor_sums
 from .poly import convolve
 
-Composition = tuple[int, ...]
-
-
-def _check_target(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"target must be >= 0, got {n}")
-
 
 def _check_nk(n: int, k: int) -> None:
     if n < 0:
         raise ValueError(f"target must be >= 0, got {n}")
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-
-
-def enumerate_compositions(n: int, bound: int | None = None) -> Iterator[Composition]:
-    """All ordered tuples of positive parts summing to n, each exactly once.
-
-    n = 0 yields the single empty composition; n >= 1 yields 2^(n-1) tuples.
-    """
-    _check_target(n)
-    check_cap("compositions", n, bound)
-    return _compositions(n)
-
-
-def _compositions(n: int) -> Iterator[Composition]:
-    # lexicographic successor on one parts list, from all ones up to (n,):
-    # drop the last part, add 1 to the new last part and put back the
-    # dropped part less 1 as that many ones
-    parts = [1] * n
-    while True:
-        yield tuple(parts)
-        if len(parts) < 2:
-            return
-        last = parts.pop()
-        parts[-1] += 1
-        parts += [1] * (last - 1)
-
-
-def _count_by_ones(items: Iterator[tuple[int, ...]], n: int) -> list[int]:
-    # counts[k] = how many of the part (or run) tuples have exactly k ones
-    counts = [0] * (n + 1)
-    for parts in items:
-        counts[parts.count(1)] += 1
-    return counts
-
-
-def c_bruteforce(n: int, k: int) -> int:
-    """Count compositions of n with exactly k ones by full enumeration."""
-    _check_nk(n, k)
-    return _count_by_ones(enumerate_compositions(n), n)[k]
 
 
 def _ones_series(length: int) -> list[int]:
@@ -204,40 +159,6 @@ def c_recurrence(n: int, k: int) -> int:
     """
     _check_nk(n, k)
     return _recurrence_rows([n - k + 1] * (k + 1))[k][n - k]
-
-
-def bitstring_runs(n: int) -> Iterator[tuple[int, ...]]:
-    """Run-length tuples of every length-n bit string that starts with 0.
-
-    Maximal runs map to composition parts, so this enumerates the
-    compositions of n in bit-string disguise.  n = 0 yields the empty run
-    tuple for the empty string.
-    """
-    _check_target(n)
-    check_cap("compositions", n)
-    return _bit_runs(n)
-
-
-def _bit_runs(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for pattern in range(1 << (n - 1)):
-        runs = []
-        run = 1
-        prev = 0
-        bits = pattern
-        for _ in range(n - 1):
-            b = bits & 1
-            bits >>= 1
-            if b == prev:
-                run += 1
-            else:
-                runs.append(run)
-                run = 1
-                prev = b
-        runs.append(run)
-        yield tuple(runs)
 
 
 # Lanes per block of the bit-sliced scan: one int of 2^16 bits (8 KiB) per

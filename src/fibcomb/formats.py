@@ -7,7 +7,7 @@ invert the renderers exactly, so emitted files round-trip.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .compositions import TriangleRow
 
@@ -18,27 +18,28 @@ TRIANGLE_CSV_HEADER = "n,k,value"
 
 def render_triangle(rows: Sequence[TriangleRow], fmt: str = "plain", offset: int = 0) -> str:
     """Render triangle rows in the requested format."""
-    if fmt == "plain":
-        return "".join(" ".join(str(v) for v in row.values) + "\n" for row in rows)
     if fmt == "csv":
         lines = [TRIANGLE_CSV_HEADER]
         for row in rows:
             lines.extend(f"{row.n},{k},{v}" for k, v in enumerate(row.values))
         return "\n".join(lines) + "\n"
-    if fmt == "bfile":
-        flat = (v for row in rows for v in row.values)
-        return "".join(f"{idx} {v}\n" for idx, v in enumerate(flat, start=offset))
-    raise ValueError(f"unknown format {fmt!r}; choose one of {FORMATS}")
+    return _render_rows((row.values for row in rows), fmt, offset)
 
 
 def render_grid(grid: Sequence[Sequence[int]], fmt: str = "plain", offset: int = 0) -> str:
     """Render a rectangular table of ints; CSV here is bare rows, no header."""
-    if fmt == "plain":
-        return "".join(" ".join(str(v) for v in row) + "\n" for row in grid)
     if fmt == "csv":
         return "".join(",".join(str(v) for v in row) + "\n" for row in grid)
+    return _render_rows(grid, fmt, offset)
+
+
+def _render_rows(rows: Iterable[Sequence[int]], fmt: str, offset: int) -> str:
+    # the plain and b-file layouts, the same for triangles and grids; the two
+    # public renderers do not call each other, so a traced render is one span
+    if fmt == "plain":
+        return "".join(" ".join(str(v) for v in row) + "\n" for row in rows)
     if fmt == "bfile":
-        flat = (v for row in grid for v in row)
+        flat = (v for row in rows for v in row)
         return "".join(f"{idx} {v}\n" for idx, v in enumerate(flat, start=offset))
     raise ValueError(f"unknown format {fmt!r}; choose one of {FORMATS}")
 

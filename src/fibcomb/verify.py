@@ -36,7 +36,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .compositions import (
-    c_bruteforce,
     c_formula,
     c_formula_wrong_index,
     triangle,
@@ -291,7 +290,8 @@ def _wrong_index(limit, bound, seed):
         raise ValueError("the wrong-index demonstration needs nmax >= 3")
     return {"wrong-index-counterexample": (
         (n, k, {"formula[wrong-index]": c_formula_wrong_index(n, k),
-                "bruteforce": c_bruteforce(n, k)})
+                "bruteforce": rows[n].values[k]})
+        for rows in _lazy(triangle, 3, "bruteforce")
         for n, k in [(3, 1)]
     )}
 

@@ -8,15 +8,11 @@ from fibcomb.compositions import (
     ROUTES,
     TriangleRow,
     _bitstring_row,
-    _count_by_ones,
     _formula_row,
-    bitstring_runs,
-    c_bruteforce,
     c_formula,
     c_formula_naive,
     c_formula_wrong_index,
     c_recurrence,
-    enumerate_compositions,
     triangle,
 )
 from fibcomb.convolved import _convolved_rows, convolved_table
@@ -24,25 +20,7 @@ from fibcomb.fib import fib
 from fibcomb.hessenberg import EnumerationBoundError, build_F, leading_minor_sums, minor_sums
 
 
-# --- enumeration ------------------------------------------------------------
-
-
-def test_enumerate_base_cases():
-    assert list(enumerate_compositions(0)) == [()]
-    assert set(enumerate_compositions(3)) == {(3,), (1, 2), (2, 1), (1, 1, 1)}
-
-
-def test_enumeration_count_is_power_of_two():
-    assert sum(1 for _ in enumerate_compositions(10)) == 512
-
-
-@given(st.integers(1, 11))
-def test_compositions_are_valid_and_distinct(n):
-    seen = list(enumerate_compositions(n))
-    assert len(seen) == len(set(seen)) == 2 ** (n - 1)
-    for comp in seen:
-        assert sum(comp) == n
-        assert all(part >= 1 for part in comp)
+# --- test-local oracles -----------------------------------------------------
 
 
 def _compositions_by_first_part(n):
@@ -54,30 +32,45 @@ def _compositions_by_first_part(n):
             yield (first, *rest)
 
 
-def test_enumeration_matches_the_recursive_definition():
-    for n in range(17):
-        assert Counter(enumerate_compositions(n)) == Counter(_compositions_by_first_part(n))
+def _bit_runs(n):
+    # run-length tuples of every length-n bit string that starts with 0: its
+    # maximal runs, read off one bit at a time
+    if n == 0:
+        yield ()
+        return
+    for pattern in range(1 << (n - 1)):
+        runs = []
+        run = 1
+        prev = 0
+        bits = pattern
+        for _ in range(n - 1):
+            b = bits & 1
+            bits >>= 1
+            if b == prev:
+                run += 1
+            else:
+                runs.append(run)
+                run = 1
+                prev = b
+        runs.append(run)
+        yield tuple(runs)
 
 
-def test_enumeration_bound():
-    with pytest.raises(EnumerationBoundError):
-        enumerate_compositions(25)
-    with pytest.raises(EnumerationBoundError):
-        enumerate_compositions(10, bound=9)
-    with pytest.raises(ValueError):
-        enumerate_compositions(-1)
+def _count_by_ones(tuples, n):
+    # entry k: how many of the part (or run) tuples have exactly k ones
+    counts = Counter(parts.count(1) for parts in tuples)
+    return tuple(counts[k] for k in range(n + 1))
 
 
 # --- the counting routes ----------------------------------------------------
 
 
 def test_bruteforce_examples():
-    assert c_bruteforce(3, 1) == 2
-    assert c_bruteforce(4, 2) == 3
+    rows = triangle(10, "bruteforce")
+    assert rows[3].values[1] == 2
+    assert rows[4].values[2] == 3
     for n in range(11):
-        assert c_bruteforce(n, n) == 1
-    with pytest.raises(ValueError):
-        c_bruteforce(3, 4)
+        assert rows[n].values[n] == 1
 
 
 def test_formula_edge_columns():
@@ -123,7 +116,7 @@ def test_naive_tuple_sum_matches_series_route():
 
 def test_wrong_index_variant_differs():
     assert c_formula_wrong_index(3, 1) == 5
-    assert c_bruteforce(3, 1) == 2
+    assert triangle(3, "bruteforce")[3].values[1] == 2
     # its k = 0 column lands two Fibonacci steps too high
     for n in range(1, 9):
         assert c_formula_wrong_index(n, 0) == fib(n + 1)
@@ -150,11 +143,6 @@ def test_recurrence_matches_formula():
             assert c_recurrence(n, k) == c_formula(n, k)
 
 
-def test_bitstring_runs_small():
-    assert list(bitstring_runs(0)) == [()]
-    assert set(bitstring_runs(3)) == {(3,), (2, 1), (1, 1, 1), (1, 2)}
-
-
 def test_bitstring_oracle_examples():
     row = triangle(3, "bitstring")[3].values
     assert row[1] == 2
@@ -170,9 +158,7 @@ def test_bitstring_bound():
 def test_bitstring_row_counts_the_runs():
     rows = triangle(16, "bitstring")
     for n in range(17):
-        counts = _count_by_ones(bitstring_runs(n), n)
-        assert rows[n].values == tuple(counts)
-        assert rows[n].values[n // 2] == counts[n // 2]
+        assert rows[n].values == _count_by_ones(_bit_runs(n), n)
 
 
 def _bitstring_row_pattern_by_pattern(n):
@@ -208,7 +194,7 @@ def test_bitstring_triangle_at_its_cap_matches_the_recurrence():
 def test_bruteforce_walk_counts_the_enumerated_compositions():
     rows = triangle(16, "bruteforce")
     for n in range(17):
-        assert rows[n].values == tuple(_count_by_ones(enumerate_compositions(n), n))
+        assert rows[n].values == _count_by_ones(_compositions_by_first_part(n), n)
 
 
 def test_bruteforce_walk_visits_each_composition_of_each_m_once():
@@ -229,7 +215,7 @@ def test_bruteforce_walk_matches_the_recurrence(n_max):
 
 def test_runs_biject_with_compositions():
     for n in range(15):
-        assert Counter(bitstring_runs(n)) == Counter(enumerate_compositions(n))
+        assert Counter(_bit_runs(n)) == Counter(_compositions_by_first_part(n))
 
 
 def test_minor_route_examples():
@@ -246,10 +232,11 @@ def test_minor_route_propagates_bound():
 
 
 def test_five_route_agreement_small():
+    bruteforce = triangle(10, "bruteforce")
     bitstring, minors = triangle(10, "bitstring"), triangle(10, "minors")
     for n in range(11):
         for k in range(n + 1):
-            expected = c_bruteforce(n, k)
+            expected = bruteforce[n].values[k]
             assert c_formula(n, k) == expected
             assert c_recurrence(n, k) == expected
             assert bitstring[n].values[k] == expected
@@ -343,14 +330,13 @@ _ORDER_REFUSAL = (r"^order {} exceeds the enumeration bound {} \(2\^n principal-
 
 
 @pytest.mark.parametrize("enumerate_, message", [
-    (lambda: enumerate_compositions(25), _TARGET_REFUSAL.format(25, 24)),
-    (lambda: bitstring_runs(25), _TARGET_REFUSAL.format(25, 24)),
-    (lambda: c_bruteforce(25, 0), _TARGET_REFUSAL.format(25, 24)),
+    (lambda: triangle(25, "bruteforce"), _TARGET_REFUSAL.format(25, 24)),
+    (lambda: triangle(25, "bitstring"), _TARGET_REFUSAL.format(25, 24)),
     (lambda: minor_sums(build_F(21)), _ORDER_REFUSAL.format(21, 20)),
     (lambda: leading_minor_sums(build_F(21)), _ORDER_REFUSAL.format(21, 20)),
-    (lambda: enumerate_compositions(10, bound=9), _TARGET_REFUSAL.format(10, 9)),
+    (lambda: triangle(10, "bruteforce", bound=9), _TARGET_REFUSAL.format(10, 9)),
     (lambda: minor_sums(build_F(5), bound=4), _ORDER_REFUSAL.format(5, 4)),
-], ids=["compositions", "bitstring-runs", "c-bruteforce", "minor-sums",
+], ids=["compositions", "bitstring", "minor-sums",
         "leading-minor-sums", "compositions-override", "minor-sums-override"])
 def test_enumeration_refusals_word_for_word(enumerate_, message):
     with pytest.raises(EnumerationBoundError, match=message):

@@ -144,7 +144,7 @@ def test_a_route_off_by_one_fails_its_check(
 
 
 def test_wrong_index_reports_whatever_the_routes_compute(monkeypatch):
-    monkeypatch.setattr(verify, "c_bruteforce", off_by_one(verify.c_bruteforce))
+    monkeypatch.setattr(verify, "triangle", rows_off_by_one("bruteforce"))
     (result,) = verify.run_suite("compositions", variant="wrong-index").checks
     assert not result.passed
     assert (result.counterexample.n, result.counterexample.k) == (3, 1)
