@@ -18,9 +18,13 @@ independent evidence:
   column has a nonzero factor, it makes O(n^2) operations, not O(n^3).
 
 ``leading_minor_sums`` is the brute-force ground truth for sums of
-principal minors.  It visits all 2^n index subsets in one depth-first walk
-that extends a fraction-free elimination by one row per subset, O(k*n) for
-a k-subset, and shares no code with either determinant route.  A subset is
+principal minors.  It visits all 2^n index subsets in one walk: a
+principal submatrix of a Hessenberg matrix is block upper triangular over
+its runs of consecutive indices, so each subset's minor is its parent's
+times one determinant of a contiguous block, one product per subset.  It
+takes those block determinants from ``det_oracle``, which the ``thm11`` and
+``adjugate`` checks test on their own, and shares no code with ``det``,
+``char_poly``, the ``formula`` route or the convolution series.  A subset is
 a principal minor of every leading block that holds its largest index, so
 the one walk gives the minor sums of all n+1 leading blocks; ``minor_sums``
 is the last of them.  ``build_F(m)`` and ``build_G(m)`` are the leading
@@ -289,17 +293,6 @@ def principal_minor(h: HessenbergMatrix, deleted: Iterable[int]) -> int:
     return det_oracle([[h.entry(r, c) for c in kept] for r in kept])
 
 
-def _bareiss_step(row: list[int], pivot_row: list[int], prev: int) -> list[int]:
-    # (p * x - f * y) / prev over a row and a pivot row that both start at
-    # the pivot's column; exact, and x itself when f = 0 and p = prev
-    p, f = pivot_row[0], row[0]
-    if f:
-        return [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-    if p == prev:
-        return row
-    return [p * x // prev for x in row]
-
-
 def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[list[int]]:
     """Sums of the principal minors of every leading block, from one walk.
 
@@ -307,91 +300,43 @@ def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[li
     leading m x m block of h, indexed by minor order 0..m: entry 0 is 1 (the
     empty minor) and entry m is that block's determinant.  Visits every one
     of the 2^n index subsets, so it is exact by construction and can act as
-    the ground-truth side of identity checks.  The subsets are walked depth
-    first in increasing index order, with an explicit stack of the current
-    path.  Each subset extends its parent's fraction-free (Bareiss)
-    elimination by one row: the new row is reduced against the pivot rows
-    on the path, O(k*n) for a k-subset instead of a fresh O(k^3)
-    elimination, and since every row is carried over all later columns the
-    new column is already reduced.  A pivot whose column is 0 in the row
-    only scales it, so each run of such zero-entry steps is folded into one
-    exact scaling; row j is 0 before column j-1, so extending a path costs
-    one scaling and at most one real step.  A column with no pivot among
-    the rows present leaves the minor 0 and the elimination stalled there
-    until a later row supplies the pivot.  The rows present are all 0 in
-    that column, so only the newest row of an extension can end the stall,
-    and only that row is tested there: while it is 0, the extension stays
-    stalled and shares its parent's pivots.  (On Hessenberg input only row
-    c+1 can end a stall at column c, ahead of exactly one pending row.)
-    A subset whose largest index is
-    j is a principal minor of every leading block of order above j, so each
-    minor is added to the bucket of its largest index, and row m is the sum
-    of the buckets below m: one walk serves all n+1 blocks.  Shares no code
-    with ``det``, ``char_poly`` or ``det_oracle``.
+    the ground-truth side of identity checks.  The entry below the diagonal
+    at each gap between kept indices is 0, so a principal submatrix is block
+    upper triangular over its runs of consecutive indices, and its minor is
+    the product of those runs' block determinants, each taken once by
+    ``det_oracle``.  A subset is its parent (every run but the last) times
+    its last run [a, b], and the next run starts at b+2 or later: one
+    product and one addition per subset, zero products included.  Each
+    minor goes into the bucket of its largest index b, since it is a
+    principal minor of every leading block of order above b, and row m is
+    the sum of the buckets below m.  Shares ``det_oracle`` with the
+    ``thm11`` and ``adjugate`` checks, which test it, and no code with
+    ``det``, ``char_poly``, the ``formula`` route or the series.
     """
     check_cap("minors", h.n, bound)
     n = h.n
     full = h.materialize()
-    # by_top[j][size]: summed minors of the subsets whose largest index is j
-    by_top = [[0] * (j + 2) for j in range(n)]
-    # One [state, next index to add] per subset on the current path.  A state
-    # is (kept indices, pivots, pending, sign): pivots[t] is (kept[t], the
-    # row that eliminated column kept[t], from that column on); pending rows
-    # are (first column carried, row), in the order they were added, reduced
-    # through every pivot; sign is the parity of the order the pivots took
-    # the rows in, against the order they were added.  The minor of the
-    # subset is sign times the last pivot once every kept column has one.
-    stack = [[((), [], [], 1), 0]]
+    # by_top[b][size]: summed minors of the subsets whose largest index is b
+    by_top = [[0] * (b + 2) for b in range(n)]
+    # runs[a]: per last index b, (determinant of the contiguous block a..b,
+    # its length, by_top[b], the first index a following run may take)
+    runs = [
+        [
+            (det_oracle([row[a : b + 1] for row in full[a : b + 1]]), b - a + 1, by_top[b], b + 2)
+            for b in range(a, n)
+        ]
+        for a in range(n)
+    ]
+    # (minor, size, first index its next run may take) per subset to extend
+    stack = [(1, 0, 0)]
     while stack:
-        top = stack[-1]
-        (kept, pivots, pending, sign), j = top
-        if j == n:
-            stack.pop()
-            continue
-        top[1] = j + 1
-        # A pivot whose column is 0 in the row only scales the row by p / prev,
-        # and a run of such steps telescopes to (last pivot) / (prev before
-        # the run).  So the row is kept unscaled, base is prev before the run,
-        # and one exact pass scales it by prev / base before the next
-        # nonzero-entry step or at the end of the path.
-        row, start, prev, base = full[j], 0, 1, 1
-        for col, pivot_row in pivots:
-            if row[col - start]:
-                row = row[col - start :]
-                if prev != base:
-                    row = [prev * x // base for x in row]
-                row = _bareiss_step(row, pivot_row, prev)
-                start, base = col, pivot_row[0]
-            prev = pivot_row[0]
-        if pivots:
-            row, start = row[pivots[-1][0] - start :], pivots[-1][0]
-            if prev != base:
-                row = [prev * x // base for x in row]
-        kept += (j,)
-        rows = [*pending, (start, row)]
-        # A stalled parent's pending rows are all 0 in its stalled column, so
-        # only the new row can end the stall: while it is 0 there too, the
-        # child stays stalled on the parent's pivots, shared without a copy.
-        # Otherwise the search finds it at pos = len(pending).
-        if not pending or row[kept[len(pivots)] - start]:
-            pivots = pivots[:]
-            while len(pivots) < len(kept):
-                col = kept[len(pivots)]
-                for pos, (start, row) in enumerate(rows):
-                    if row[col - start]:
-                        break
-                else:
-                    break  # stalled: no row present has a pivot in this column
-                del rows[pos]
-                pivot_row = row[col - start :]
-                rows = [(col, _bareiss_step(r[col - s :], pivot_row, prev)) for s, r in rows]
-                pivots.append((col, pivot_row))
-                sign = -sign if pos % 2 else sign  # it moves ahead of pos earlier rows
-                prev = pivot_row[0]
-            else:
-                by_top[j][len(kept)] += sign * prev
-        if j + 1 < n:
-            stack.append([(kept, pivots, rows, sign), j + 1])
+        minor, size, start = stack.pop()
+        for a in range(start, n):
+            for block, length, bucket, after in runs[a]:
+                child, k = minor * block, size + length
+                bucket[k] += child
+                if after < n:
+                    stack.append((child, k, after))
     sums = [[1]]
     for bucket in by_top:
         sums.append(list(map(add, sums[-1] + [0], bucket)))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from fibcomb.compositions import triangle
 from fibcomb.fib import fib, fib_poly, shift_poly
 from fibcomb.hessenberg import (
+    CAPS,
     EnumerationBoundError,
     HessenbergMatrix,
     adjugate_det_F,
@@ -349,11 +351,19 @@ def test_leading_minor_sums_refuses_in_the_words_of_minor_sums():
 
 
 def _minor_sums_by_subsets(h):
-    # test-local reference: one oracle principal minor per deleted subset
+    # test-local reference: one oracle principal minor per deleted subset.
+    # principal_minor runs det_oracle, which the walk also uses for its
+    # blocks, so up to order 8 each minor is checked against the cofactor
+    # expansion too, which shares nothing with the walk
+    full = h.materialize()
     sums = [0] * (h.n + 1)
     for size in range(h.n + 1):
         for deleted in itertools.combinations(range(1, h.n + 1), size):
-            sums[h.n - size] += principal_minor(h, deleted)
+            minor = principal_minor(h, deleted)
+            if h.n <= 8:
+                kept = [i for i in range(h.n) if i + 1 not in deleted]
+                assert minor == _det_cofactor([[full[r][c] for c in kept] for r in kept])
+            sums[h.n - size] += minor
     return sums
 
 
@@ -372,8 +382,8 @@ def test_minor_sums_equal_the_sum_over_every_subset(h):
 
 
 def test_minor_sums_with_nontrivial_pivots_equal_the_sum_over_every_subset():
-    # zero-heavy rows make long runs of zero-entry steps, and pivots other
-    # than +-1 make the one scaling that replaces each run more than a sign
+    # zero-heavy rows give many runs whose block determinant is 0, and
+    # entries other than +-1 make the block products more than a sign
     rng = random.Random(18)
     for _ in range(300):
         n = rng.randint(1, 8)
@@ -384,8 +394,8 @@ def test_minor_sums_with_nontrivial_pivots_equal_the_sum_over_every_subset():
 
 
 def test_minor_sums_with_zero_diagonals_equal_the_sum_over_every_subset():
-    # a zero diagonal stalls the first kept column of many subsets; each
-    # extension of a stalled subset tests only the new row there
+    # a zero diagonal makes every run of one index a zero block, so many
+    # subsets are zero products, and each is still visited and added
     rng = random.Random(19)
     for _ in range(300):
         n = rng.randint(1, 8)
@@ -396,14 +406,10 @@ def test_minor_sums_with_zero_diagonals_equal_the_sum_over_every_subset():
             _minor_sums_by_subsets(_leading_block(h, m)) for m in range(n + 1)]
 
 
-def test_a_new_row_that_ends_a_stall_flips_the_sign_behind_one_pending_row():
-    # On Hessenberg input a stall at column c ends only when row c+1, with
-    # its -1 below the diagonal, is added, and then exactly one row is
-    # pending, an odd number.  Here {1, 2} stalls at column 1 on row 1; row 2
-    # ends the stall ahead of it (a flip) and row 1 takes column 2 as -3, so
-    # the minor is 3, not -3.  Adding row 3 to {1, 2}, which is not stalled,
-    # leaves no row pending, an even number: row 3 takes column 3 without a
-    # flip, and the minor is det(h) = 14.
+def test_a_minor_takes_its_sign_from_the_block_product():
+    # {1, 2} is one run, whose block [[0, 3], [-1, 5]] has determinant 3,
+    # not -3: the walk multiplies block determinants as they are and keeps
+    # no sign of its own.  {1, 2, 3} is the whole matrix, det(h) = 14.
     h = HessenbergMatrix([[0, 3, 2], [5, 1], [4]])
     assert principal_minor(h, [3]) == 3
     assert det(h) == 14
@@ -415,14 +421,22 @@ def test_a_new_row_that_ends_a_stall_flips_the_sign_behind_one_pending_row():
 
 @pytest.mark.parametrize("build", [build_F, build_G])
 def test_minor_sums_of_the_families_equal_the_sum_over_every_subset(build):
-    # build_G's zero diagonal stalls the first pivot of every subset, and
-    # build(n) is the leading n-block of build(12)
+    # build_G's zero diagonal makes every run of one index a zero block,
+    # and build(n) is the leading n-block of build(12)
     leading = leading_minor_sums(build(12))
     assert leading[0] == [1]
     for n in range(1, 13):
         h = build(n)
         assert _leading_block(build(12), n) == h
         assert minor_sums(h) == leading[n] == _minor_sums_by_subsets(h)
+
+
+def test_every_subset_is_visited_once_at_the_cap():
+    # with 1 on the diagonal and 0 above it every principal submatrix is unit
+    # lower triangular, so each subset adds exactly 1 to its size's sum
+    n = CAPS["minors"][0]
+    h = HessenbergMatrix([1] + [0] * (n - i - 1) for i in range(n))
+    assert leading_minor_sums(h) == [[math.comb(m, k) for k in range(m + 1)] for m in range(n + 1)]
 
 
 # --- characteristic polynomial --------------------------------------------
