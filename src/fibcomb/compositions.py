@@ -3,14 +3,13 @@
 Five independent routes compute the same triangle (OEIS A105422); each is a
 ``route`` of ``triangle(n_max, route)``:
 
-* ``bruteforce``     - count every composition of every m <= n_max in one
-                       walk of their prefix tree, 2^n_max nodes for the
-                       whole triangle, each counted in O(1) from its
-                       parent's ones count; the last three levels are
-                       counted in place, one increment per composition,
-                       without going on the walk's stack, so extending a
-                       node is one increment and one push per child above
-                       them;
+* ``bruteforce``     - count every composition of every m <= n_max, one
+                       byte each, 2^n_max bytes for the whole triangle:
+                       level m holds each composition's number of 1s, built
+                       from level m-1 raised by one (last part 1) and the
+                       levels below it unchanged (last part 2, 3, ...), so
+                       each composition is visited once, its count derived
+                       from its parent's;
 * ``formula``        - the explicit formula in convolved Fibonacci numbers:
                        G(x) = 1 + x^2/(1 - x - x^2) = (1 - x)/(1 - x - x^2),
                        so c(n, k), the coefficient of x^(n-k) in G(x)^(k+1),
@@ -240,43 +239,21 @@ def _recurrence_triangle(n_max: int) -> list[list[int]]:
     return [[rows[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
 
 
+# _PLUS_ONE[b] = b + 1, a bytes.translate table: raises every ones count of
+# a level by one, as appending a part 1 does
+_PLUS_ONE = bytes(range(1, 256)) + bytes(1)
+
+
 def _bruteforce_triangle(n_max: int) -> list[list[int]]:
-    # One walk of the prefix tree of compositions: a node is a composition of
-    # some m <= top, and its children append one part p <= top - m = rest.
-    # A child is counted when its parent extends it, from the parent's ones
-    # count plus whether p is 1.  The last three levels are counted in place:
-    # the children p = rest, rest - 1 and rest - 2 of each node, with their
-    # descendants (p = 1 under rest - 1; p = 1, then p = 1 again, and p = 2
-    # under rest - 2), each get their own increment on the last three rows.
-    # So only nodes with m < top - 2 go on the stack: p = 1, whose child adds
-    # a one, and p = 2..rest-3, one increment and one push each.  When rest
-    # is 3, p = 1 is p = rest - 2.  Every composition of every m <= top is
-    # counted once, 2^top in all (the root is the empty one).  The root must
-    # sit above the last three levels, so below n_max = 3 the walk runs to
-    # top = 3 and the rows past n_max are dropped.
-    top = max(n_max, 3)
-    counts = [[0] * (m + 1) for m in range(top + 1)]
-    counts[0][0] = 1
-    last, second, third = counts[top], counts[top - 1], counts[top - 2]
-    stack = [(0, 0)]  # (m, ones) of each node still to extend, m < top - 2
-    while stack:
-        m, ones = stack.pop()
-        rest = top - m
-        last[ones] += 1  # p = rest
-        second[ones] += 1  # p = rest - 1
-        last[ones + 1] += 1
-        low = ones + (rest == 3)  # p = rest - 2
-        third[low] += 1
-        second[low + 1] += 1
-        last[low + 2] += 1
-        last[low] += 1
-        if rest > 3:
-            counts[m + 1][ones + 1] += 1  # p = 1
-            stack.append((m + 1, ones + 1))
-            for child in range(m + 2, top - 2):  # p = 2..rest-3
-                counts[child][ones] += 1
-                stack.append((child, ones))
-    return counts[: n_max + 1]
+    # ones[m] holds one byte per composition of m, its number of 1s.  A
+    # composition of m is a composition of m - p followed by its last part p:
+    # for p = 1 its parent's count plus one, for p >= 2 its parent's count.
+    # So every composition of every m <= n_max is one byte, 2^n_max in all,
+    # each from its parent's; counts are never added across compositions.
+    ones = [bytes(1)]  # the empty composition
+    for _ in range(n_max):
+        ones.append(b"".join([ones[-1].translate(_PLUS_ONE), *ones[:-1]]))
+    return [[level.count(k) for k in range(m + 1)] for m, level in enumerate(ones)]
 
 
 def _minors_triangle(n_max: int) -> list[list[int]]:

@@ -177,8 +177,10 @@ def _expansion_det(rows: Sequence[tuple[Sequence, object]], one):
     # 1..m have added to it.  A tail term tail * d[i] belongs to every column
     # from its first on, so it is added once, to starts[that column - 1], and
     # carry, the running sum of starts, holds every tail term of the column
-    # being finished.  Works over any commutative ring whose elements support
-    # + and *.
+    # being finished.  A finished column's slots are cleared, so the walk
+    # holds only the columns still open, not every leading determinant: over
+    # polynomials those would be O(n^3) bits in all.  Works over any
+    # commutative ring whose elements support + and *.
     n = len(rows)
     zero = one - one
     d = one
@@ -191,6 +193,7 @@ def _expansion_det(rows: Sequence[tuple[Sequence, object]], one):
         starts[end] += tail * d
         carry += starts[i]
         d = totals[i] + carry
+        totals[i] = starts[i] = zero
     return d
 
 

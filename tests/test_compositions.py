@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -198,19 +199,31 @@ def test_bruteforce_walk_counts_the_enumerated_compositions():
 
 
 def test_bruteforce_walk_visits_each_composition_of_each_m_once():
-    # each node of the prefix tree, on the walk's stack or counted in place on
-    # the last three levels, adds one to one count, so the counts total the
-    # nodes: the compositions of every m <= N, 1 + sum 2^(m-1) = 2^N
+    # each composition of each level is one byte, counted once under its
+    # number of 1s, so the counts total the compositions of every m <= N:
+    # 1 + sum 2^(m-1) = 2^N
     for n_max in range(21):
         assert sum(sum(row.values) for row in triangle(n_max, "bruteforce")) == 2 ** n_max
 
 
 @pytest.mark.parametrize("n_max", range(21))
 def test_bruteforce_walk_matches_the_recurrence(n_max):
-    # the three levels counted in place move with n_max; 0..4 are the cases
-    # where the root itself is on one of them or just above
+    # each level is its parent level raised by one joined with every level
+    # below the parent; at n_max 0 and 1 no level below the parent is joined
     bruteforce, recurrence = triangle(n_max, "bruteforce"), triangle(n_max, "recurrence")
     assert [row.values for row in bruteforce] == [row.values for row in recurrence]
+
+
+def test_bruteforce_walk_at_its_cap_stays_under_24_mib():
+    # one byte per composition, 2^24 in all, plus the raised copy of the
+    # parent level as the last level is joined: about 20 MiB at the peak
+    tracemalloc.start()
+    try:
+        triangle(24, "bruteforce")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_runs_biject_with_compositions():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -463,6 +464,20 @@ def test_char_poly_at_zero_recovers_det():
 def test_char_poly_is_shifted_fibonacci_polynomial():
     for n in [*range(1, 13), 200]:
         assert char_poly(build_F(n)) == shift_poly(fib_poly(n + 1))
+
+
+@pytest.mark.parametrize("build", [build_F, build_G])
+def test_char_poly_keeps_no_finished_leading_determinant(build):
+    # kept, the 300 leading determinants of order m hold O(m^2) bits each,
+    # megabytes in all; cleared, the walk holds a few open columns
+    h = build(300)
+    tracemalloc.start()
+    try:
+        char_poly(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def test_char_poly_coefficients_are_signed_minor_sums():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
 
 import fibcomb
 
@@ -42,3 +46,14 @@ def test_readme_library_example():
     assert convolved_fib(3, 3) == 9
     assert [row.values for row in triangle(4)] == [
         (1,), (0, 1), (1, 0, 1), (1, 2, 0, 1), (2, 2, 3, 0, 1)]
+
+
+def test_python_dash_m_runs_the_command_line():
+    # the package's own parent directory is the path, so the run needs
+    # neither an install nor the console script
+    src = Path(fibcomb.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "fibcomb", "fib", "10"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "55\n", "")
