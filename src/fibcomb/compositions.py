@@ -35,8 +35,8 @@ composition and every subset is still visited, but each triangle costs one
 walk (``bitstring`` scans the patterns of each length once), not one walk
 per row.
 
-``c_formula`` and ``c_recurrence`` give one entry by the ``formula`` and
-``recurrence`` routes.  Enumeration caps live in ``fibcomb.hessenberg.CAPS``.
+``c_formula`` gives one entry by the ``formula`` route.  Enumeration caps
+live in ``fibcomb.hessenberg.CAPS``.
 
 Boundary conventions: c(0, 0) = 1 (the empty composition), and c(m, k) = 0
 for k < 0, k > m, or m < 0.  Row 0 of the bit-string route counts the empty
@@ -45,8 +45,7 @@ string, which has no runs; that anchors the same convention.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import prod
 
 from .convolved import _convolved_rows, convolved_table
@@ -60,12 +59,6 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"target must be >= 0, got {n}")
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-
-
-def _ones_series(length: int) -> list[int]:
-    # G(x) = sum_m fib(m-1) x^m = 1 + x^2/(1 - x - x^2): the generating
-    # function of compositions with no part equal to 1, plus the empty one.
-    return [fib(m - 1) for m in range(length)]
 
 
 def _ones_power_coefficient(
@@ -137,29 +130,6 @@ def c_formula_wrong_index(n: int, k: int) -> int:
     return _ones_power_coefficient(n, k, 2)
 
 
-def _recurrence_rows(widths: Iterable[int]) -> list[list[int]]:
-    # rows[j][d] = c(j + d, j) for d < widths[j] (widths must not grow).  Split
-    # at the first part equal to 1: a 1-free prefix summing to s + 1 (fib(s)
-    # of them), the 1, then n - s - 2 with one 1 fewer, so
-    # c(j + d, j) = sum over s of fib(s) * c(j + d - s - 2, j - 1): row j is
-    # row j - 1 convolved with fib(s), s >= -1.  Base c(m, 0) = fib(m-1).
-    widths = list(widths)
-    fibs = _ones_series(widths[0])  # fibs[s + 1] = fib(s)
-    rows = [fibs]
-    for width in widths[1:]:
-        rows.append(convolve(fibs, rows[-1], width))
-    return rows
-
-
-def c_recurrence(n: int, k: int) -> int:
-    """c(n, k) by the first-one recurrence, base row c(m, 0) = fib(m-1).
-
-    Fills a fresh (k+1) x (n-k+1) table bottom-up: no recursion, no cache.
-    """
-    _check_nk(n, k)
-    return _recurrence_rows([n - k + 1] * (k + 1))[k][n - k]
-
-
 # Lanes per block of the bit-sliced scan: one int of 2^16 bits (8 KiB) per
 # plane, mark and counter digit.  Measured on triangle(24, "bitstring")
 # under CPython 3.11: 2^16 lanes is the fastest block and adds nothing to
@@ -216,15 +186,6 @@ def _bitstring_row(n: int) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class TriangleRow:
-    """Row n of the triangle: values[k] = c(n, k), tagged with its route."""
-
-    n: int
-    values: tuple[int, ...]
-    route: str
-
-
 def _formula_row(n: int) -> list[int]:
     # one table per row, not per triangle: bench/test_checks.py expects
     # `fibcomb triangle 9` to call fib with repeated arguments.  c(n, k)
@@ -235,7 +196,14 @@ def _formula_row(n: int) -> list[int]:
 
 
 def _recurrence_triangle(n_max: int) -> list[list[int]]:
-    rows = _recurrence_rows(range(n_max + 1, 0, -1))
+    # rows[j][d] = c(j + d, j).  Split at the first part equal to 1: a 1-free
+    # prefix summing to s + 1 (fib(s) of them), the 1, then the rest with one
+    # 1 fewer, so row j is row j - 1 convolved with fib(s), s >= -1.  Row 0 is
+    # c(m, 0) = fib(m-1), the coefficients of G(x) = 1 + x^2/(1 - x - x^2).
+    fibs = [fib(m - 1) for m in range(n_max + 1)]  # fibs[s + 1] = fib(s)
+    rows = [fibs]
+    for width in range(n_max, 0, -1):
+        rows.append(convolve(fibs, rows[-1], width))
     return [[rows[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
 
 
@@ -279,8 +247,10 @@ ROUTES = tuple(_ROUTE_TABLE)
 
 def triangle(
     n_max: int, route: str = "formula", bound: int | None = None
-) -> list[TriangleRow]:
+) -> list[list[int]]:
     """Rows 0..n_max of the triangle, computed by the selected route.
+
+    Row n is the list c(n, 0), ..., c(n, n), fresh on every call.
 
     ``bound`` overrides the enumeration cap of the brute-force routes
     (``bruteforce``, ``bitstring``, ``minors``), which refuse an n_max above
@@ -294,5 +264,4 @@ def triangle(
     rows_of, enumeration = _ROUTE_TABLE[route]
     if enumeration is not None:
         check_cap(enumeration, n_max, bound)
-    rows = rows_of(n_max)
-    return [TriangleRow(n=n, values=tuple(row), route=route) for n, row in enumerate(rows)]
+    return rows_of(n_max)

@@ -9,21 +9,19 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .compositions import TriangleRow
-
 FORMATS = ("plain", "csv", "bfile")
 
 TRIANGLE_CSV_HEADER = "n,k,value"
 
 
-def render_triangle(rows: Sequence[TriangleRow], fmt: str = "plain", offset: int = 0) -> str:
-    """Render triangle rows in the requested format."""
+def render_triangle(rows: Sequence[Sequence[int]], fmt: str = "plain", offset: int = 0) -> str:
+    """Render triangle rows, rows[n][k] = c(n, k), in the requested format."""
     if fmt == "csv":
         lines = [TRIANGLE_CSV_HEADER]
-        for row in rows:
-            lines.extend(f"{row.n},{k},{v}" for k, v in enumerate(row.values))
+        for n, row in enumerate(rows):
+            lines.extend(f"{n},{k},{v}" for k, v in enumerate(row))
         return "\n".join(lines) + "\n"
-    return _render_rows((row.values for row in rows), fmt, offset)
+    return _render_rows(rows, fmt, offset)
 
 
 def render_grid(grid: Sequence[Sequence[int]], fmt: str = "plain", offset: int = 0) -> str:
@@ -56,7 +54,7 @@ def _fields_error(number: int, line: str, sep: str | None, width: int) -> ValueE
 
 
 def parse_triangle_csv(text: str) -> list[list[int]]:
-    """Invert the triangle CSV renderer; returns each row's values in k order."""
+    """Invert the triangle CSV renderer; row n holds c(n, 0), ..., c(n, n)."""
     lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line]
     number, header = lines[0] if lines else (1, "")
     if header != TRIANGLE_CSV_HEADER:
@@ -70,10 +68,16 @@ def parse_triangle_csv(text: str) -> list[list[int]]:
         if k == 0:
             if n != len(rows):
                 raise _line_error(number, line, f"row {n} out of order")
+            if rows and len(rows[-1]) < n:
+                raise _line_error(number, line, f"row {n - 1} ends before k = {n - 1}")
             rows.append([])
         if n != len(rows) - 1 or k != len(rows[-1]):
             raise _line_error(number, line, f"entry ({n}, {k}) out of order")
+        if k > n:
+            raise _line_error(number, line, f"entry ({n}, {k}) has k > n")
         rows[-1].append(v)
+    if rows and len(rows[-1]) < len(rows):
+        raise _line_error(number, line, f"row {n} ends before k = {n}")
     return rows
 
 

@@ -159,7 +159,7 @@ def _triangle_cases(n_max: int, routes: tuple[str, ...], bound: int | None) -> I
     tables = {route: triangle(n_max, route, bound) for route in routes}
     for n in range(n_max + 1):
         for k in range(n + 1):
-            yield n, k, {route: rows[n].values[k] for route, rows in tables.items()}
+            yield n, k, {route: rows[n][k] for route, rows in tables.items()}
 
 
 def _series_table(n_max: int) -> list[list[int]]:
@@ -290,7 +290,7 @@ def _wrong_index(limit, bound, seed):
         raise ValueError("the wrong-index demonstration needs nmax >= 3")
     return {"wrong-index-counterexample": (
         (n, k, {"formula[wrong-index]": c_formula_wrong_index(n, k),
-                "bruteforce": rows[n].values[k]})
+                "bruteforce": rows[n][k]})
         for rows in _lazy(triangle, 3, "bruteforce")
         for n, k in [(3, 1)]
     )}

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 
 from fibcomb.compositions import (
     ROUTES,
-    TriangleRow,
     _bitstring_row,
     _formula_row,
     c_formula,
     c_formula_naive,
     c_formula_wrong_index,
-    c_recurrence,
     triangle,
 )
 from fibcomb.convolved import _convolved_rows, convolved_table
@@ -60,7 +58,7 @@ def _bit_runs(n):
 def _count_by_ones(tuples, n):
     # entry k: how many of the part (or run) tuples have exactly k ones
     counts = Counter(parts.count(1) for parts in tuples)
-    return tuple(counts[k] for k in range(n + 1))
+    return [counts[k] for k in range(n + 1)]
 
 
 # --- the counting routes ----------------------------------------------------
@@ -68,10 +66,10 @@ def _count_by_ones(tuples, n):
 
 def test_bruteforce_examples():
     rows = triangle(10, "bruteforce")
-    assert rows[3].values[1] == 2
-    assert rows[4].values[2] == 3
+    assert rows[3][1] == 2
+    assert rows[4][2] == 3
     for n in range(11):
-        assert rows[n].values[n] == 1
+        assert rows[n][n] == 1
 
 
 def test_formula_edge_columns():
@@ -117,7 +115,7 @@ def test_naive_tuple_sum_matches_series_route():
 
 def test_wrong_index_variant_differs():
     assert c_formula_wrong_index(3, 1) == 5
-    assert triangle(3, "bruteforce")[3].values[1] == 2
+    assert triangle(3, "bruteforce")[3][1] == 2
     # its k = 0 column lands two Fibonacci steps too high
     for n in range(1, 9):
         assert c_formula_wrong_index(n, 0) == fib(n + 1)
@@ -125,27 +123,21 @@ def test_wrong_index_variant_differs():
 
 
 def test_recurrence_examples():
-    assert c_recurrence(4, 1) == 2
+    rows = triangle(11, "recurrence")
+    assert rows[4][1] == 2
     for k in range(12):
-        assert c_recurrence(k, k) == 1
-    with pytest.raises(ValueError):
-        c_recurrence(2, 3)
-
-
-def test_recurrence_has_no_recursion_depth_limit():
-    # the diagonal is k levels deep; a recursive route overflows the stack here
-    assert c_recurrence(1100, 1100) == 1
-    assert c_recurrence(1101, 1100) == 0
+        assert rows[k][k] == 1
 
 
 def test_recurrence_matches_formula():
+    rows = triangle(60, "recurrence")
     for n in [*range(31), 60]:
         for k in range(n + 1):
-            assert c_recurrence(n, k) == c_formula(n, k)
+            assert rows[n][k] == c_formula(n, k)
 
 
 def test_bitstring_oracle_examples():
-    row = triangle(3, "bitstring")[3].values
+    row = triangle(3, "bitstring")[3]
     assert row[1] == 2
     assert row[3] == 1
     assert row[0] == 1
@@ -159,7 +151,7 @@ def test_bitstring_bound():
 def test_bitstring_row_counts_the_runs():
     rows = triangle(16, "bitstring")
     for n in range(17):
-        assert rows[n].values == _count_by_ones(_bit_runs(n), n)
+        assert rows[n] == _count_by_ones(_bit_runs(n), n)
 
 
 def _bitstring_row_pattern_by_pattern(n):
@@ -189,13 +181,13 @@ def test_bit_sliced_scan_matches_the_pattern_by_pattern_scan():
 
 def test_bitstring_triangle_at_its_cap_matches_the_recurrence():
     bitstring, recurrence = triangle(24, "bitstring"), triangle(24, "recurrence")
-    assert [row.values for row in bitstring] == [row.values for row in recurrence]
+    assert bitstring == recurrence
 
 
 def test_bruteforce_walk_counts_the_enumerated_compositions():
     rows = triangle(16, "bruteforce")
     for n in range(17):
-        assert rows[n].values == _count_by_ones(_compositions_by_first_part(n), n)
+        assert rows[n] == _count_by_ones(_compositions_by_first_part(n), n)
 
 
 def test_bruteforce_walk_visits_each_composition_of_each_m_once():
@@ -203,7 +195,7 @@ def test_bruteforce_walk_visits_each_composition_of_each_m_once():
     # number of 1s, so the counts total the compositions of every m <= N:
     # 1 + sum 2^(m-1) = 2^N
     for n_max in range(21):
-        assert sum(sum(row.values) for row in triangle(n_max, "bruteforce")) == 2 ** n_max
+        assert sum(sum(row) for row in triangle(n_max, "bruteforce")) == 2 ** n_max
 
 
 @pytest.mark.parametrize("n_max", range(21))
@@ -211,7 +203,7 @@ def test_bruteforce_walk_matches_the_recurrence(n_max):
     # each level is its parent level raised by one joined with every level
     # below the parent; at n_max 0 and 1 no level below the parent is joined
     bruteforce, recurrence = triangle(n_max, "bruteforce"), triangle(n_max, "recurrence")
-    assert [row.values for row in bruteforce] == [row.values for row in recurrence]
+    assert bruteforce == recurrence
 
 
 def test_bruteforce_walk_at_its_cap_stays_under_24_mib():
@@ -233,10 +225,10 @@ def test_runs_biject_with_compositions():
 
 def test_minor_route_examples():
     rows = triangle(4, "minors")
-    assert rows[4].values[0] == 2
-    assert rows[4].values[2] == 3
-    assert rows[3].values[3] == 1
-    assert rows[0].values[0] == 1
+    assert rows[4][0] == 2
+    assert rows[4][2] == 3
+    assert rows[3][3] == 1
+    assert rows[0][0] == 1
 
 
 def test_minor_route_propagates_bound():
@@ -247,13 +239,14 @@ def test_minor_route_propagates_bound():
 def test_five_route_agreement_small():
     bruteforce = triangle(10, "bruteforce")
     bitstring, minors = triangle(10, "bitstring"), triangle(10, "minors")
+    recurrence = triangle(10, "recurrence")
     for n in range(11):
         for k in range(n + 1):
-            expected = bruteforce[n].values[k]
+            expected = bruteforce[n][k]
             assert c_formula(n, k) == expected
-            assert c_recurrence(n, k) == expected
-            assert bitstring[n].values[k] == expected
-            assert minors[n].values[k] == expected
+            assert recurrence[n][k] == expected
+            assert bitstring[n][k] == expected
+            assert minors[n][k] == expected
 
 
 # --- the triangle -----------------------------------------------------------
@@ -261,55 +254,47 @@ def test_five_route_agreement_small():
 
 def test_triangle_first_rows():
     rows = triangle(4)
-    assert [row.values for row in rows] == [
-        (1,),
-        (0, 1),
-        (1, 0, 1),
-        (1, 2, 0, 1),
-        (2, 2, 3, 0, 1),
+    assert rows == [
+        [1],
+        [0, 1],
+        [1, 0, 1],
+        [1, 2, 0, 1],
+        [2, 2, 3, 0, 1],
     ]
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_triangle_zero_is_the_empty_composition_alone(route):
-    assert [row.values for row in triangle(0, route)] == [(1,)]
-
-
-def test_triangle_rows_are_labeled():
-    rows = triangle(3, route="recurrence")
-    assert all(isinstance(row, TriangleRow) for row in rows)
-    assert [row.n for row in rows] == [0, 1, 2, 3]
-    assert all(row.route == "recurrence" for row in rows)
-    assert all(len(row.values) == row.n + 1 for row in rows)
+    assert triangle(0, route) == [[1]]
 
 
 def test_triangle_routes_agree():
-    reference = [row.values for row in triangle(9)]
+    reference = triangle(9)
     for route in ("bruteforce", "recurrence", "bitstring", "minors"):
-        assert [row.values for row in triangle(9, route=route)] == reference
+        assert triangle(9, route=route) == reference
 
 
 def test_formula_and_recurrence_triangles_agree_to_rows_80_and_150():
     for n_max in (80, 150):
         formula, recurrence = triangle(n_max), triangle(n_max, "recurrence")
-        assert [row.values for row in formula] == [row.values for row in recurrence]
+        assert formula == recurrence
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 120).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
 def test_triangle_entry_matches_recurrence_at_random(nk):
     n, k = nk
-    assert triangle(n)[n].values[k] == c_recurrence(n, k)
+    assert triangle(n, "recurrence")[n][k] == c_formula(n, k)
 
 
 def test_triangle_row_sums():
-    for row in triangle(30)[1:]:
-        assert sum(row.values) == 2 ** (row.n - 1)
+    for n, row in enumerate(triangle(30)[1:], 1):
+        assert sum(row) == 2 ** (n - 1)
 
 
 def test_triangle_penultimate_column_vanishes():
     for row in triangle(30)[2:]:
-        assert row.values[-2] == 0
+        assert row[-2] == 0
 
 
 def test_triangle_validates_route_and_bounds():

@@ -1,6 +1,6 @@
 import pytest
 
-from fibcomb.compositions import triangle
+from fibcomb.compositions import ROUTES, triangle
 from fibcomb.convolved import convolved_table
 from fibcomb.formats import (
     parse_bfile,
@@ -22,9 +22,14 @@ def test_triangle_csv_exact():
 
 
 def test_triangle_csv_round_trip():
-    rows = triangle(7)
-    parsed = parse_triangle_csv(render_triangle(rows, "csv"))
-    assert parsed == [list(row.values) for row in rows]
+    for route in ROUTES:
+        rows = triangle(12, route)
+        assert parse_triangle_csv(render_triangle(rows, "csv")) == rows
+
+
+def test_triangle_bfile_exact():
+    text = render_triangle(triangle(3), "bfile", offset=7)
+    assert text == "7 1\n8 0\n9 1\n10 1\n11 0\n12 1\n13 1\n14 2\n15 0\n16 1\n"
 
 
 def test_triangle_bfile_shape():
@@ -40,7 +45,7 @@ def test_triangle_bfile_round_trip_with_offset():
     rows = triangle(5)
     pairs = parse_bfile(render_triangle(rows, "bfile", offset=10))
     assert pairs[0][0] == 10
-    flat = [v for row in rows for v in row.values]
+    flat = [v for row in rows for v in row]
     assert [v for _, v in pairs] == flat
 
 
@@ -84,10 +89,16 @@ def test_bfile_parser_requires_consecutive_indices():
         (parse_bfile, "0 5\n1 x7\n", "line 2: non-integer field: '1 x7'"),
         (parse_triangle_csv, "n,k,value\n0,0,1\n1,0\n", "line 3: expected 3 fields, got 2: '1,0'"),
         (parse_triangle_csv, "n,k,value\n0,0,one\n", "line 2: non-integer field: '0,0,one'"),
+        (parse_triangle_csv, "n,k,value\n0,0,1\n0,1,5\n", "line 3: entry (0, 1) has k > n: '0,1,5'"),
+        (parse_triangle_csv, "n,k,value\n0,0,1\n1,0,0\n2,0,1\n",
+         "line 4: row 1 ends before k = 1: '2,0,1'"),
+        (parse_triangle_csv, "n,k,value\n0,0,1\n1,0,0\n",
+         "line 3: row 1 ends before k = 1: '1,0,0'"),
         (parse_grid_csv, "1,1,2\n1,2\n", "line 2: expected 3 fields, got 2: '1,2'"),
         (parse_grid_csv, "1,1\n\n1,2.5\n", "line 3: non-integer field: '1,2.5'"),
     ],
     ids=["bfile-fields", "bfile-integer", "triangle-fields", "triangle-integer",
+         "triangle-k-above-n", "triangle-short-row", "triangle-short-last-row",
          "grid-fields", "grid-integer"],
 )
 def test_parsers_name_the_bad_line(parse, text, message):

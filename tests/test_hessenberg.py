@@ -497,7 +497,7 @@ def test_char_poly_of_G_has_the_composition_counts_as_coefficients():
         p = char_poly(build_G(n))
         assert p.degree == n
         for k in range(n + 1):
-            assert p.coefficient(k) == (-1) ** (n - k) * rows[n].values[k]
+            assert p.coefficient(k) == (-1) ** (n - k) * rows[n][k]
 
 
 @given(hessenberg_matrices(max_order=5))

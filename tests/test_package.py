@@ -44,8 +44,7 @@ def test_readme_library_example():
     assert det(build_F(10)) == fib(11)
     assert char_poly(build_F(2)).coeffs == (2, -2, 1)
     assert convolved_fib(3, 3) == 9
-    assert [row.values for row in triangle(4)] == [
-        (1,), (0, 1), (1, 0, 1), (1, 2, 0, 1), (2, 2, 3, 0, 1)]
+    assert triangle(4) == [[1], [0, 1], [1, 0, 1], [1, 2, 0, 1], [2, 2, 3, 0, 1]]
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -10,7 +10,7 @@ passes would have caught a wrong route.
 import pytest
 
 from fibcomb import verify
-from fibcomb.compositions import TriangleRow, c_formula, triangle
+from fibcomb.compositions import c_formula, triangle
 
 
 def off_by_one(fn):
@@ -37,7 +37,7 @@ def rows_off_by_one(route):
         rows = triangle(n_max, name, bound)
         if name != route:
             return rows
-        return [TriangleRow(row.n, tuple(v + 1 for v in row.values), name) for row in rows]
+        return [[v + 1 for v in row] for row in rows]
 
     mutant.__name__ = route
     return mutant
