@@ -17,7 +17,7 @@ import functools
 import sys
 
 from .compositions import ROUTES, triangle
-from .convolved import check_convolved_args, convolved_fib_binomial, convolved_table
+from .convolved import convolved_fib, convolved_table
 from .fib import fib
 from .formats import FORMATS, render_grid, render_triangle
 from .hessenberg import build_F, build_G, char_poly, det
@@ -135,8 +135,7 @@ def _cmd_convolved(args: argparse.Namespace) -> int:
         grid = convolved_table(args.r, args.m)
         print(render_grid(grid, args.format, args.offset), end="")
     else:
-        check_convolved_args(args.r, args.m)
-        print(_int_digits(convolved_fib_binomial(args.m + args.r - 2, args.r - 1)))
+        print(_int_digits(convolved_fib(args.r, args.m)))
     return 0
 
 

@@ -45,9 +45,6 @@ string, which has no runs; that anchors the same convention.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from math import prod
-
 from .convolved import _convolved_rows, convolved_table
 from .fib import fib
 from .hessenberg import build_G, check_cap, leading_minor_sums
@@ -88,7 +85,8 @@ def c_formula(n: int, k: int, table: list[list[int]] | None = None) -> int:
     Equivalent to summing fib(j_1)*...*fib(j_{k+1}) over tuples with every
     j_t >= -1 and j_1+...+j_{k+1} = n-2k-1, but costs one (k+1)-row
     convolved table, O(k * (n-k)) additions, instead of an exponential
-    tuple scan.
+    tuple scan; ``tests/test_compositions.py`` keeps that scan as the oracle
+    it is checked against.
 
     ``table``, if given, holds rows r = 1, 2, ... of the convolved table,
     at least k+1 of them, row k+1 of at least n-k+1 terms, and row k+1 is
@@ -99,25 +97,6 @@ def c_formula(n: int, k: int, table: list[list[int]] | None = None) -> int:
     n^3/6, so a whole triangle costs about n^3/6 additions.
     """
     return _ones_power_coefficient(n, k, 0, table)
-
-
-def _signed_tuples(parts: int, total: int) -> Iterator[tuple[int, ...]]:
-    # every tuple of `parts` integers >= -1 summing to `total`
-    if parts == 1:
-        if total >= -1:
-            yield (total,)
-        return
-    for j in range(-1, total + parts):
-        for rest in _signed_tuples(parts - 1, total - j):
-            yield (j,) + rest
-
-
-def c_formula_naive(n: int, k: int) -> int:
-    """Slow reference for c_formula: literal sum over the index tuples."""
-    _check_nk(n, k)
-    return sum(
-        prod(fib(j) for j in t) for t in _signed_tuples(k + 1, n - 2 * k - 1)
-    )
 
 
 def c_formula_wrong_index(n: int, k: int) -> int:

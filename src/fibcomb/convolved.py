@@ -6,20 +6,20 @@ itself.  Row r = 1 is the Fibonacci sequence.  The same numbers fall out of
 
 * a double binomial sum (``convolved_fib_binomial``), and
 * sums of principal minors of the build_F matrices: entry n - k of
-  ``minor_sums(build_F(n))`` is ``convolved_fib(k+1, n-k+1)``, which the
-  ``minors`` suite of ``verify`` checks,
+  ``leading_minor_sums(build_F(n))[-1]`` is ``convolved_fib(k+1, n-k+1)``,
+  which the ``minors`` suite of ``verify`` checks,
 
-which lets each route act as a check on the others.  ``convolved_series``
-and ``convolved_fib`` keep the convolution definition (r-1 truncated
-convolutions, O(r·m^2)), and ``verify`` checks the other routes against
-them; one chain of convolutions gives every order at once, each row the
-row before convolved with row 1, so the series of orders 1..r cost what
-order r alone does.  A whole table (``convolved_table``) comes from the
-linear row recurrence of (1 - x - x^2)^(-r) instead, and is checked
-against both the series and the binomial sum.  ``fibcomb convolved R M``
-prints one value by the binomial sum, ``convolved_fib_binomial(M+R-2,
-R-1)``: O(M) exact binomials, after ``check_convolved_args`` has refused
-what ``convolved_fib`` refuses.
+which lets each route act as a check on the others.  ``convolved_fib``
+returns the binomial sum, ``convolved_fib_binomial(m+r-2, r-1)``: O(m)
+exact binomials, and the value ``fibcomb convolved R M`` prints.
+``_series_rows`` keeps the convolution definition (r-1 truncated
+convolutions, O(r·m^2)), and ``verify`` checks the binomial sum, the
+minor sums and the characteristic-polynomial coefficients against it; one
+chain of convolutions gives every order at once, each row the row before
+convolved with row 1, so the series of orders 1..r cost what order r alone
+does.  A whole table (``convolved_table``) comes from the linear row
+recurrence of (1 - x - x^2)^(-r) instead, and is checked against both the
+series and the binomial sum.
 """
 
 from __future__ import annotations
@@ -30,28 +30,6 @@ from math import comb
 
 from .fib import fib
 from .poly import convolve
-
-
-def _check_order(r: int) -> None:
-    if r < 1:
-        raise ValueError(f"convolution order must be >= 1, got {r}")
-
-
-def check_convolved_args(r: int, m: int) -> None:
-    """Refuse the (r, m) that ``convolved_fib`` refuses, in its order and words."""
-    if m < 1:
-        raise ValueError(f"series index must be >= 1, got {m}")
-    _check_order(r)
-
-
-def convolved_series(r: int, length: int) -> list[int]:
-    """First ``length`` coefficients of (1 - x - x^2)^(-r), exactly."""
-    _check_order(r)
-    if length < 0:
-        raise ValueError(f"series length must be >= 0, got {length}")
-    for series in _series_rows([length] * r):
-        pass
-    return series
 
 
 def _series_rows(widths: Iterable[int]) -> Iterator[list[int]]:
@@ -69,14 +47,18 @@ def _series_rows(widths: Iterable[int]) -> Iterator[list[int]]:
 
 
 def convolved_fib(r: int, m: int) -> int:
-    """m-th convolved Fibonacci number of order r (r-1 exact convolutions).
+    """m-th convolved Fibonacci number of order r, by the binomial sum.
 
     Equals the sum of fib(j_1+1)*...*fib(j_r+1) over all nonnegative tuples
     with j_1+...+j_r = m-1; order 1 collapses to fib(m), and the first term
-    of every row is 1.
+    of every row is 1.  Computed as ``convolved_fib_binomial(m+r-2, r-1)``,
+    O(m) exact binomials.
     """
-    check_convolved_args(r, m)
-    return convolved_series(r, m)[m - 1]
+    if m < 1:
+        raise ValueError(f"series index must be >= 1, got {m}")
+    if r < 1:
+        raise ValueError(f"convolution order must be >= 1, got {r}")
+    return convolved_fib_binomial(m + r - 2, r - 1)
 
 
 def convolved_table(r_max: int, m_max: int) -> list[list[int]]:

@@ -7,12 +7,11 @@ rejected.  All results are exact Python ints.
 ``fib`` runs fast doubling over the bits of n, F(2k) = F(k)(2F(k+1) - F(k))
 and F(2k+1) = F(k)^2 + F(k+1)^2: O(log n) big-int products instead of n
 additions, so ``fib(100000)`` is a few milliseconds.  The tests keep the
-plain additive loop as the oracle it is checked against.
+plain additive loop, and the binomial form of ``fib_poly``, as the oracles
+they are checked against.
 """
 
 from __future__ import annotations
-
-import math
 
 from .poly import IntPolynomial
 
@@ -47,20 +46,6 @@ def fib_poly(n: int) -> IntPolynomial:
     for _ in range(n - 2):
         prev, cur = cur, x * cur + prev
     return cur
-
-
-def fib_poly_explicit(n: int) -> IntPolynomial:
-    """Fibonacci polynomial of index n + 1 built directly from binomials.
-
-    Returns sum over i of C(n-i, i) * x^(n-2i); independent of the recurrence
-    route in fib_poly, so the two can cross-check each other.
-    """
-    if n < 0:
-        raise ValueError(f"fib_poly_explicit index must be >= 0, got {n}")
-    coeffs = [0] * (n + 1)
-    for i in range(n // 2 + 1):
-        coeffs[n - 2 * i] = math.comb(n - i, i)
-    return IntPolynomial(coeffs)
 
 
 def shift_poly(p: IntPolynomial) -> IntPolynomial:

@@ -26,12 +26,10 @@ takes those block determinants from ``det_oracle``, which the ``thm11`` and
 ``adjugate`` checks test on their own, and shares no code with ``det``,
 ``char_poly``, the ``formula`` route or the convolution series.  A subset is
 a principal minor of every leading block that holds its largest index, so
-the one walk gives the minor sums of all n+1 leading blocks; ``minor_sums``
-is the last of them.  ``build_F(m)`` and ``build_G(m)`` are the leading
+the one walk gives the minor sums of all n+1 leading blocks, the last row
+being those of h itself.  ``build_F(m)`` and ``build_G(m)`` are the leading
 blocks of ``build_F(n)`` and ``build_G(n)``, so one walk serves a whole
 range of orders.
-``principal_minor`` runs ``det_oracle`` on one kept submatrix, built from
-the stored rows without the rest of the matrix.
 
 ``CAPS`` holds the cap of every brute-force enumeration in the package, and
 ``check_cap`` refuses a size above it unless a larger bound is passed.
@@ -277,25 +275,6 @@ def dense_cofactor(matrix: DenseMatrix, i: int, j: int) -> int:
     return (-1) ** (i + j) * det_oracle(sub)
 
 
-def principal_minor(h: HessenbergMatrix, deleted: Iterable[int]) -> int:
-    """Determinant after deleting the listed rows and matching columns.
-
-    ``deleted`` holds distinct 1-based indices; deleting all of them leaves the
-    empty matrix, whose determinant is 1.  Computed with the oracle, not the
-    subdiagonal expansion (the submatrix loses the fixed -1 subdiagonal).
-    Only the kept submatrix is built, from the stored rows.
-    """
-    drop = list(deleted)
-    seen = set(drop)
-    if len(seen) != len(drop):
-        raise ValueError(f"deleted indices must be distinct, got {drop}")
-    for i in drop:
-        if not (1 <= i <= h.n):
-            raise ValueError(f"deleted index {i} outside 1..{h.n}")
-    kept = [i for i in range(1, h.n + 1) if i not in seen]
-    return det_oracle([[h.entry(r, c) for c in kept] for r in kept])
-
-
 def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[list[int]]:
     """Sums of the principal minors of every leading block, from one walk.
 
@@ -344,15 +323,6 @@ def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[li
     for bucket in by_top:
         sums.append(list(map(add, sums[-1] + [0], bucket)))
     return sums
-
-
-def minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[int]:
-    """Sums of all principal minors, indexed by minor order 0..n.
-
-    The last row of ``leading_minor_sums``: entry 0 is 1 (the empty minor)
-    and entry n is det(h).
-    """
-    return leading_minor_sums(h, bound)[-1]
 
 
 def char_poly(h: HessenbergMatrix) -> IntPolynomial:

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import pytest
 
 from fibcomb.cli import _STR_BITS, _int_digits, build_parser, main
-from fibcomb.convolved import convolved_fib, convolved_fib_binomial
+from fibcomb.convolved import _series_rows, convolved_fib, convolved_fib_binomial
 from fibcomb.fib import fib
 from fibcomb.hessenberg import build_F, build_G, det
 
@@ -35,15 +35,23 @@ def test_convolved_single_values(capsys):
 
 
 def test_convolved_value_matches_the_series_definition(capsys):
-    # the command prints the binomial sum; convolved_fib convolves series
-    for r in range(1, 13):
-        for m in range(1, 61):
-            assert run(capsys, "convolved", str(r), str(m)) == (
-                0, f"{convolved_fib(r, m)}\n", ""), (r, m)
+    # the command prints the binomial sum; the series rows convolve
+    for r, series in enumerate(_series_rows([60] * 12), start=1):
+        for m, value in enumerate(series, start=1):
+            assert run(capsys, "convolved", str(r), str(m)) == (0, f"{value}\n", ""), (r, m)
+
+
+def test_convolved_value_is_the_library_value(capsys):
+    for r, m in ((3, 3), (6, 100), (20, 250), (1, 1)):
+        assert run(capsys, "convolved", str(r), str(m)) == (0, f"{convolved_fib(r, m)}\n", "")
+    for r, m in ((0, 5), (5, 0), (0, 0)):
+        with pytest.raises(ValueError) as refused:
+            convolved_fib(r, m)
+        assert run(capsys, "convolved", str(r), str(m)) == (2, "", f"error: {refused.value}\n")
 
 
 def test_convolved_value_usage_errors(capsys):
-    # the index is checked before the order, as convolved_fib checks them
+    # the index is checked before the order
     assert run(capsys, "convolved", "0", "3") == (
         2, "", "error: convolution order must be >= 1, got 0\n")
     assert run(capsys, "convolved", "2", "0") == (

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from math import prod
 
 import hypothesis.strategies as st
 import pytest
@@ -10,13 +11,12 @@ from fibcomb.compositions import (
     _bitstring_row,
     _formula_row,
     c_formula,
-    c_formula_naive,
     c_formula_wrong_index,
     triangle,
 )
 from fibcomb.convolved import _convolved_rows, convolved_table
 from fibcomb.fib import fib
-from fibcomb.hessenberg import EnumerationBoundError, build_F, leading_minor_sums, minor_sums
+from fibcomb.hessenberg import EnumerationBoundError, build_F, leading_minor_sums
 
 
 # --- test-local oracles -----------------------------------------------------
@@ -59,6 +59,23 @@ def _count_by_ones(tuples, n):
     # entry k: how many of the part (or run) tuples have exactly k ones
     counts = Counter(parts.count(1) for parts in tuples)
     return [counts[k] for k in range(n + 1)]
+
+
+def _signed_tuples(parts, total):
+    # every tuple of `parts` integers >= -1 summing to `total`
+    if parts == 1:
+        if total >= -1:
+            yield (total,)
+        return
+    for j in range(-1, total + parts):
+        for rest in _signed_tuples(parts - 1, total - j):
+            yield (j,) + rest
+
+
+def c_formula_naive(n, k):
+    # test-local reference for c_formula: the literal sum of
+    # fib(j_1)*...*fib(j_{k+1}) over the index tuples, exponential in k
+    return sum(prod(fib(j) for j in t) for t in _signed_tuples(k + 1, n - 2 * k - 1))
 
 
 # --- the counting routes ----------------------------------------------------
@@ -330,10 +347,10 @@ _ORDER_REFUSAL = (r"^order {} exceeds the enumeration bound {} \(2\^n principal-
 @pytest.mark.parametrize("enumerate_, message", [
     (lambda: triangle(25, "bruteforce"), _TARGET_REFUSAL.format(25, 24)),
     (lambda: triangle(25, "bitstring"), _TARGET_REFUSAL.format(25, 24)),
-    (lambda: minor_sums(build_F(21)), _ORDER_REFUSAL.format(21, 20)),
+    (lambda: triangle(21, "minors"), _ORDER_REFUSAL.format(21, 20)),
     (lambda: leading_minor_sums(build_F(21)), _ORDER_REFUSAL.format(21, 20)),
     (lambda: triangle(10, "bruteforce", bound=9), _TARGET_REFUSAL.format(10, 9)),
-    (lambda: minor_sums(build_F(5), bound=4), _ORDER_REFUSAL.format(5, 4)),
+    (lambda: triangle(5, "minors", bound=4), _ORDER_REFUSAL.format(5, 4)),
 ], ids=["compositions", "bitstring", "minor-sums",
         "leading-minor-sums", "compositions-override", "minor-sums-override"])
 def test_enumeration_refusals_word_for_word(enumerate_, message):

@@ -5,11 +5,18 @@ from fibcomb.convolved import (
     alternating_sum,
     convolved_fib,
     convolved_fib_binomial,
-    convolved_series,
     convolved_table,
 )
 from fibcomb.fib import fib, fib_poly, shift_poly
-from fibcomb.hessenberg import EnumerationBoundError, build_F, minor_sums
+from fibcomb.hessenberg import EnumerationBoundError, build_F, leading_minor_sums
+
+
+def convolved_series(r, length):
+    # test-local reference: the first `length` coefficients of
+    # (1 - x - x^2)^(-r) by the convolution definition, the last of the
+    # series rows of orders 1..r; convolved_fib takes the binomial sum
+    *_, series = _series_rows([length] * r)
+    return series
 
 
 def test_order_one_is_fibonacci():
@@ -30,12 +37,12 @@ def test_first_term_of_every_row_is_one():
 
 
 def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^convolution order must be >= 1, got 0$"):
         convolved_fib(0, 3)
-    with pytest.raises(ValueError):
-        convolved_fib(2, 0)
-    with pytest.raises(ValueError):
-        convolved_series(1, -1)
+    # the index is checked before the order
+    for r in (2, 0):
+        with pytest.raises(ValueError, match=r"^series index must be >= 1, got 0$"):
+            convolved_fib(r, 0)
 
 
 def test_table_matches_pointwise_values():
@@ -70,13 +77,12 @@ def _double_sum_power(r, length):
 def test_series_rows_are_the_convolution_powers():
     for m in range(31):
         for r in range(1, 9):
-            *_, last = _series_rows([m] * r)
-            assert last == convolved_series(r, m) == _double_sum_power(r, m)
+            assert convolved_series(r, m) == _double_sum_power(r, m)
     # shrinking widths cut each order where it ends, as verify reads them
     rows = list(_series_rows(range(31, 0, -1)))
     assert [len(row) for row in rows] == list(range(31, 0, -1))
     for r, row in enumerate(rows, start=1):
-        assert row == convolved_series(r, len(row))
+        assert row == _double_sum_power(r, len(row))
 
 
 def test_large_table_matches_the_binomial_route():
@@ -104,34 +110,35 @@ def test_binomial_route_examples():
 
 
 def test_minor_route_examples():
-    # entry n - k of minor_sums(build_F(n)) is convolved_fib(k + 1, n - k + 1)
-    assert minor_sums(build_F(4))[4 - 0] == 5
-    assert minor_sums(build_F(4))[4 - 2] == 9
-    assert minor_sums(build_F(3))[3 - 2] == 3
+    # entry n - k of leading_minor_sums(build_F(n))[-1] is convolved_fib(k + 1, n - k + 1)
+    assert leading_minor_sums(build_F(4))[-1][4 - 0] == 5
+    assert leading_minor_sums(build_F(4))[-1][4 - 2] == 9
+    assert leading_minor_sums(build_F(3))[-1][3 - 2] == 3
 
 
 def test_minor_route_validates():
     with pytest.raises(ValueError):
         build_F(0)
     # k = n reads the empty minor, 1, which is also convolved_fib(n + 1, 1)
-    assert minor_sums(build_F(4))[4 - 4] == 1 == convolved_fib(5, 1)
+    assert leading_minor_sums(build_F(4))[-1][4 - 4] == 1 == convolved_fib(5, 1)
     with pytest.raises(EnumerationBoundError):
-        minor_sums(build_F(8), bound=6)
+        leading_minor_sums(build_F(8), bound=6)
 
 
 def test_triple_route_agreement_small():
     for n in range(1, 13):
-        sums = minor_sums(build_F(n))
+        sums = leading_minor_sums(build_F(n))[-1]
         for k in range(n):
-            series = convolved_fib(k + 1, n - k + 1)
-            assert series == convolved_fib_binomial(n, k)
+            series = convolved_series(k + 1, n - k + 1)[-1]
+            assert series == convolved_fib(k + 1, n - k + 1)
             assert series == sums[n - k]
 
 
 def test_two_route_agreement_larger():
-    for n in range(13, 41):
-        for k in range(n + 1):
-            assert convolved_fib_binomial(n, k) == convolved_fib(k + 1, n - k + 1)
+    for k in range(41):
+        series = convolved_series(k + 1, 41 - k)
+        for n in range(max(13, k), 41):
+            assert convolved_fib(k + 1, n - k + 1) == series[n - k]
 
 
 def test_rows_are_nondecreasing():

@@ -22,8 +22,6 @@ from fibcomb.hessenberg import (
     det,
     det_oracle,
     leading_minor_sums,
-    minor_sums,
-    principal_minor,
     recurrence_term,
 )
 from fibcomb.poly import IntPolynomial
@@ -273,6 +271,14 @@ def test_det_oracle_of_the_families_up_to_order_60():
 # --- principal minors -----------------------------------------------------
 
 
+def principal_minor(h, deleted):
+    # test-local reference: det_oracle of the submatrix kept after deleting
+    # the listed rows and matching columns (1-based); deleting every index
+    # leaves the empty matrix, whose determinant is 1
+    kept = [i for i in range(1, h.n + 1) if i not in deleted]
+    return det_oracle([[h.entry(r, c) for c in kept] for r in kept])
+
+
 def _f_block_product(n, deleted):
     out, prev = 1, 0
     for d in deleted:
@@ -318,19 +324,9 @@ def test_G_block_product_formula_all_subsets():
                 assert principal_minor(h, deleted) == _g_block_product(n, deleted)
 
 
-def test_principal_minor_rejects_bad_indices():
-    h = build_F(4)
-    with pytest.raises(ValueError):
-        principal_minor(h, [0])
-    with pytest.raises(ValueError):
-        principal_minor(h, [5])
-    with pytest.raises(ValueError):
-        principal_minor(h, [2, 2])
-
-
 def test_minor_sums_conventions():
     h = build_F(4)
-    sums = minor_sums(h)
+    sums = leading_minor_sums(h)[-1]
     assert sums[0] == 1
     assert sums[4] == det(h)
     assert sums[2] == 9
@@ -338,16 +334,15 @@ def test_minor_sums_conventions():
 
 def test_minor_sums_respects_bound():
     with pytest.raises(EnumerationBoundError):
-        minor_sums(build_F(5), bound=4)
-    assert len(minor_sums(build_F(5), bound=5)) == 6
+        leading_minor_sums(build_F(5), bound=4)
+    assert len(leading_minor_sums(build_F(5), bound=5)[-1]) == 6
 
 
-def test_leading_minor_sums_refuses_in_the_words_of_minor_sums():
+def test_leading_minor_sums_refusal_words():
     refusal = (r"^order 5 exceeds the enumeration bound 4 \(2\^n principal-minor "
                r"subsets\); pass a larger bound to force it$")
-    for sums_of in (minor_sums, leading_minor_sums):
-        with pytest.raises(EnumerationBoundError, match=refusal):
-            sums_of(build_F(5), bound=4)
+    with pytest.raises(EnumerationBoundError, match=refusal):
+        leading_minor_sums(build_F(5), bound=4)
     assert len(leading_minor_sums(build_F(5), bound=5)) == 6
 
 
@@ -379,7 +374,6 @@ def _leading_block(h, m):
 def test_minor_sums_equal_the_sum_over_every_subset(h):
     leading = leading_minor_sums(h)
     assert leading == [_minor_sums_by_subsets(_leading_block(h, m)) for m in range(h.n + 1)]
-    assert minor_sums(h) == leading[-1]
 
 
 def test_minor_sums_with_nontrivial_pivots_equal_the_sum_over_every_subset():
@@ -429,7 +423,7 @@ def test_minor_sums_of_the_families_equal_the_sum_over_every_subset(build):
     for n in range(1, 13):
         h = build(n)
         assert _leading_block(build(12), n) == h
-        assert minor_sums(h) == leading[n] == _minor_sums_by_subsets(h)
+        assert leading_minor_sums(h)[-1] == leading[n] == _minor_sums_by_subsets(h)
 
 
 def test_every_subset_is_visited_once_at_the_cap():
@@ -483,7 +477,7 @@ def test_char_poly_keeps_no_finished_leading_determinant(build):
 def test_char_poly_coefficients_are_signed_minor_sums():
     for n in range(1, 11):
         h = build_G(n)
-        sums = minor_sums(h)
+        sums = leading_minor_sums(h)[-1]
         p = char_poly(h)
         for k in range(n + 1):
             assert p.coefficient(k) == (-1) ** (n - k) * sums[n - k]
@@ -503,7 +497,7 @@ def test_char_poly_of_G_has_the_composition_counts_as_coefficients():
 @given(hessenberg_matrices(max_order=5))
 @settings(deadline=None)
 def test_char_poly_coefficient_identity_random(h):
-    sums = minor_sums(h)
+    sums = leading_minor_sums(h)[-1]
     p = char_poly(h)
     for k in range(h.n + 1):
         assert p.coefficient(k) == (-1) ** (h.n - k) * sums[h.n - k]

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib import import_module
 from pathlib import Path
 
@@ -20,6 +22,9 @@ HOMES = {
     "triangle": "compositions",
 }
 EXPORTS = {name: getattr(import_module(f"fibcomb.{home}"), name) for name, home in HOMES.items()}
+# the parsers invert the renderers, and only the benchmark checks and CI run
+# them
+CALLED_FROM_OUTSIDE = {"parse_bfile", "parse_grid_csv", "parse_triangle_csv"}
 
 
 def test_all_is_the_value_functions():
@@ -56,3 +61,31 @@ def test_python_dash_m_runs_the_command_line():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "55\n", "")
+
+
+def _references(node):
+    # every name a node's code looks up, by name, attribute or import;
+    # docstrings and comments are no such references
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_library_function_has_a_caller():
+    # a module-level function or class must be referenced from somewhere in
+    # the package other than its own body
+    trees = [ast.parse(path.read_text()) for path in Path(fibcomb.__file__).parent.glob("*.py")]
+    everywhere = Counter(name for tree in trees for name in _references(tree))
+    uncalled = sorted(
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in CALLED_FROM_OUTSIDE
+        and everywhere[node.name] == Counter(_references(node))[node.name]
+    )
+    assert uncalled == []
