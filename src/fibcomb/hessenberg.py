@@ -21,15 +21,17 @@ independent evidence:
 principal minors.  It visits all 2^n index subsets in one walk: a
 principal submatrix of a Hessenberg matrix is block upper triangular over
 its runs of consecutive indices, so each subset's minor is its parent's
-times one determinant of a contiguous block, one product per subset.  It
-takes those block determinants from ``det_oracle``, which the ``thm11`` and
-``adjugate`` checks test on their own, and shares no code with ``det``,
-``char_poly``, the ``formula`` route or the convolution series.  A subset is
-a principal minor of every leading block that holds its largest index, so
-the one walk gives the minor sums of all n+1 leading blocks, the last row
-being those of h itself.  ``build_F(m)`` and ``build_G(m)`` are the leading
-blocks of ``build_F(n)`` and ``build_G(n)``, so one walk serves a whole
-range of orders.
+times one determinant of a contiguous block, one product per subset.  The
+products are made a list at a time, all parents of one size times one
+block, and only the minors a later run can extend are kept, 2^(n-2) ints.
+It takes each distinct block determinant once from ``det_oracle``, which
+the ``thm11`` and ``adjugate`` checks test on their own, and shares no code
+with ``det``, ``char_poly``, the ``formula`` route or the convolution
+series.  A subset is a principal minor of every leading block that holds
+its largest index, so the one walk gives the minor sums of all n+1 leading
+blocks, the last row being those of h itself.  ``build_F(m)`` and
+``build_G(m)`` are the leading blocks of ``build_F(n)`` and ``build_G(n)``,
+so one walk serves a whole range of orders.
 
 ``CAPS`` holds the cap of every brute-force enumeration in the package, and
 ``check_cap`` refuses a size above it unless a larger bound is passed.
@@ -38,7 +40,7 @@ range of orders.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mul
 
 from .fib import fib
@@ -285,42 +287,51 @@ def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[li
     the ground-truth side of identity checks.  The entry below the diagonal
     at each gap between kept indices is 0, so a principal submatrix is block
     upper triangular over its runs of consecutive indices, and its minor is
-    the product of those runs' block determinants, each taken once by
-    ``det_oracle``.  A subset is its parent (every run but the last) times
-    its last run [a, b], and the next run starts at b+2 or later: one
-    product and one addition per subset, zero products included.  Each
-    minor goes into the bucket of its largest index b, since it is a
-    principal minor of every leading block of order above b, and row m is
-    the sum of the buckets below m.  Shares ``det_oracle`` with the
+    the product of those runs' block determinants.  A subset is its parent
+    (every run but the last) times its last run [a, b], whose parent is the
+    empty subset or ends at a-2 or earlier: one product per subset, zero
+    products included, made a list at a time, every parent of one size
+    times one block.  Each minor goes into the bucket of its largest index
+    b, since it is a principal minor of every leading block of order above
+    b, and row m is the sum of the buckets below m.  Only the minors a later
+    run can extend, those of largest index at most n-3, are kept, 2^(n-2)
+    ints; the rest are summed as they are made.  Equal rows give equal
+    blocks, so each distinct ``h.rows[a:b+1]`` is taken once from
+    ``det_oracle``, about 2n blocks for ``build_F(n)`` and ``build_G(n)``,
+    n(n+1)/2 when every row differs.  Shares ``det_oracle`` with the
     ``thm11`` and ``adjugate`` checks, which test it, and no code with
     ``det``, ``char_poly``, the ``formula`` route or the series.
     """
     check_cap("minors", h.n, bound)
     n = h.n
     full = h.materialize()
-    # by_top[b][size]: summed minors of the subsets whose largest index is b
-    by_top = [[0] * (b + 2) for b in range(n)]
-    # runs[a]: per last index b, (determinant of the contiguous block a..b,
-    # its length, by_top[b], the first index a following run may take)
-    runs = [
-        [
-            (det_oracle([row[a : b + 1] for row in full[a : b + 1]]), b - a + 1, by_top[b], b + 2)
-            for b in range(a, n)
-        ]
-        for a in range(n)
-    ]
-    # (minor, size, first index its next run may take) per subset to extend
-    stack = [(1, 0, 0)]
-    while stack:
-        minor, size, start = stack.pop()
-        for a in range(start, n):
-            for block, length, bucket, after in runs[a]:
-                child, k = minor * block, size + length
-                bucket[k] += child
-                if after < n:
-                    stack.append((child, k, after))
+    dets = {}  # h.rows[a:b+1] -> determinant of the contiguous block a..b
+    # kept[size]: the minors of the subsets a later run can extend, in order
+    # of largest index, the empty subset first
+    kept = [[1]] + [[] for _ in range(n)]
+    # parents[a][size]: how many of kept[size] end at a-2 or earlier, so are
+    # the parents of a run that starts at a
+    parents = [[1], [1]] + [None] * n
     sums = [[1]]
-    for bucket in by_top:
+    for b in range(n):
+        bucket = [0] * (b + 2)  # summed minors by size of the subsets ending at b
+        extended = b <= n - 3
+        for a in range(b + 1):
+            key = h.rows[a : b + 1]
+            block = dets.get(key)
+            if block is None:
+                block = dets[key] = det_oracle([row[a : b + 1] for row in full[a : b + 1]])
+            length = b - a + 1
+            for size, count in enumerate(parents[a]):
+                minors = islice(kept[size], count)
+                if extended:
+                    children = [minor * block for minor in minors]
+                    kept[size + length] += children
+                    bucket[size + length] += sum(children)
+                else:
+                    bucket[size + length] += sum(map(mul, minors, repeat(block)))
+        if extended:
+            parents[b + 2] = [len(minors) for minors in kept[: b + 2]]
         sums.append(list(map(add, sums[-1] + [0], bucket)))
     return sums
 

@@ -34,6 +34,7 @@ import random
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .compositions import (
     c_formula,
@@ -43,7 +44,7 @@ from .compositions import (
 from .convolved import (
     _series_rows,
     alternating_sum,
-    convolved_fib_binomial,
+    convolved_fib,
     convolved_table,
 )
 from .fib import fib, fib_poly, shift_poly
@@ -117,7 +118,7 @@ _TESTS = {"edge-columns": lambda v: v["c(n,0)"] == v["fib(n-1)"] and v["c(n,n)"]
 
 def _routes_agree(values: dict[str, object]) -> bool:
     compared = [v for label, v in values.items() if label not in _POSITION_LABELS]
-    return all(v == compared[0] for v in compared[1:])
+    return compared.count(compared[0]) == len(compared)
 
 
 def _run_check(name: str, cases: Iterable[Case]) -> CheckResult:
@@ -156,10 +157,15 @@ def _random_tables(seed: int) -> Iterator[Case]:
 
 
 def _triangle_cases(n_max: int, routes: tuple[str, ...], bound: int | None) -> Iterator[Case]:
-    tables = {route: triangle(n_max, route, bound) for route in routes}
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            yield n, k, {route: rows[n][k] for route, rows in tables.items()}
+    # whole rows are compared: a row or entry that a route lacks reads None,
+    # so a missing or extra row or entry is a disagreement.  Every route is
+    # compared at n_max and then at 0, which a route may build on a path of
+    # its own.
+    for size in dict.fromkeys((n_max, 0)):
+        tables = [triangle(size, route, bound) for route in routes]
+        for n, rows in enumerate(zip_longest(*tables, fillvalue=())):
+            for k, column in enumerate(zip_longest(*rows)):
+                yield n, k, dict(zip(routes, column))
 
 
 def _series_table(n_max: int) -> list[list[int]]:
@@ -175,12 +181,13 @@ def _lazy(build, *args) -> Iterator:
 
 def _binomial_cases(n_max: int) -> Iterator[Case]:
     # a generator, so the series and the table are built inside the check's
-    # timing
+    # timing; "binomial" is the value `fibcomb convolved R M` prints, with
+    # its argument mapping
     series = _series_table(n_max)
     table = convolved_table(n_max + 1, n_max + 1)
     for n in range(n_max + 1):
         for k in range(n + 1):
-            yield n, k, {"binomial": convolved_fib_binomial(n, k),
+            yield n, k, {"binomial": convolved_fib(k + 1, n - k + 1),
                          "series": series[k][n - k],
                          "table": table[k][n - k]}
 

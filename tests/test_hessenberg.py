@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from fibcomb import hessenberg
 from fibcomb.compositions import triangle
 from fibcomb.fib import fib, fib_poly, shift_poly
 from fibcomb.hessenberg import (
@@ -432,6 +433,76 @@ def test_every_subset_is_visited_once_at_the_cap():
     n = CAPS["minors"][0]
     h = HessenbergMatrix([1] + [0] * (n - i - 1) for i in range(n))
     assert leading_minor_sums(h) == [[math.comb(m, k) for k in range(m + 1)] for m in range(n + 1)]
+
+
+def _distinct_blocks(h):
+    return {h.rows[a : b + 1] for b in range(h.n) for a in range(b + 1)}
+
+
+def _oracle_calls(monkeypatch):
+    # the orders of the blocks the walk hands to det_oracle, one per call
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return det_oracle(matrix)
+
+    monkeypatch.setattr(hessenberg, "det_oracle", counted)
+    return calls
+
+
+@pytest.mark.parametrize("build", [build_F, build_G])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 20])
+def test_one_oracle_call_per_distinct_block_of_the_families(monkeypatch, build, n):
+    # build_F(20) has 3n-4 = 56 distinct blocks of its 210, build_G(20)
+    # 2n-1 = 39
+    h = build(n)
+    calls = _oracle_calls(monkeypatch)
+    leading_minor_sums(h)
+    assert len(calls) == len(_distinct_blocks(h))
+    if n == 20:
+        assert len(calls) == {build_F: 56, build_G: 39}[build]
+
+
+def test_one_oracle_call_per_distinct_block_of_repeating_rows(monkeypatch):
+    # rows drawn from a few (head, tail) pairs repeat, so blocks do
+    rng = random.Random(26)
+    calls = _oracle_calls(monkeypatch)
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        h = HessenbergMatrix(
+            [rng.choice((0, 1)), *[rng.choice((0, 1))] * (n - i - 1)] for i in range(n))
+        calls.clear()
+        assert leading_minor_sums(h) == [
+            _minor_sums_by_subsets(_leading_block(h, m)) for m in range(n + 1)]
+        assert len(calls) == len(_distinct_blocks(h))
+
+
+def test_every_block_of_distinct_rows_goes_to_the_oracle_once(monkeypatch):
+    # row i has diagonal i + 1, so no two blocks are equal: n(n+1)/2 calls,
+    # b - a + 1 = L for n - L + 1 of them
+    n = 12
+    h = HessenbergMatrix([i + 1] + [0] * (n - i - 1) for i in range(n))
+    calls = _oracle_calls(monkeypatch)
+    leading_minor_sums(h)
+    assert len(calls) == n * (n + 1) // 2
+    assert sorted(calls) == sorted(
+        length for length in range(1, n + 1) for _ in range(n - length + 1))
+
+
+def test_walk_keeps_only_the_minors_a_later_run_extends():
+    # at order 20 the walk keeps the 2^18 minors of largest index at most
+    # 17, a 2.1 MiB tracemalloc peak for build_F(20) when measured; 3 MiB
+    # allows 40% over that, and keeping all 2^20 would take four times as
+    # many list slots, 8 MiB of pointers alone
+    h = build_F(20)
+    tracemalloc.start()
+    try:
+        leading_minor_sums(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 # --- characteristic polynomial --------------------------------------------

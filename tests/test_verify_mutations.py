@@ -43,6 +43,29 @@ def rows_off_by_one(route):
     return mutant
 
 
+def last_row_padded(route):
+    # triangle() with one route's last row one entry too long, a 0
+    def mutant(n_max, name, bound=None):
+        rows = triangle(n_max, name, bound)
+        if name == route:
+            rows[-1].append(0)
+        return rows
+
+    mutant.__name__ = f"{route}-padded"
+    return mutant
+
+
+def row_zero_of(route, row):
+    # triangle() with one route's whole triangle at n_max = 0 replaced
+    def mutant(n_max, name, bound=None):
+        if (n_max, name) == (0, route):
+            return [row]
+        return triangle(n_max, name, bound)
+
+    mutant.__name__ = f"{route}-row-zero"
+    return mutant
+
+
 MUTATIONS = [
     # suite, check, route replaced (mutants wrap the unpatched route), mutant,
     # (n, k) of the counterexample, labels
@@ -70,8 +93,8 @@ MUTATIONS = [
     ("charpoly", "charpoly-coefficients-are-convolved", "_series_rows",
      table_off_by_one(verify._series_rows), (1, 0),
      ("coefficient", "signed-convolved")),
-    ("charpoly", "binomial-route-agrees", "convolved_fib_binomial",
-     off_by_one(verify.convolved_fib_binomial), (0, 0),
+    ("charpoly", "binomial-route-agrees", "convolved_fib",
+     off_by_one(verify.convolved_fib), (0, 0),
      ("binomial", "series", "table")),
     ("charpoly", "binomial-route-agrees", "convolved_table",
      table_off_by_one(verify.convolved_table), (0, 0),
@@ -102,6 +125,12 @@ MUTATIONS = [
      ("formula", "bruteforce", "recurrence", "bitstring")),
     ("compositions", "minor-route-agreement", "triangle",
      rows_off_by_one("minors"), (0, 0),
+     ("formula", "minors")),
+    ("compositions", "route-agreement", "triangle",
+     last_row_padded("bruteforce"), (6, 7),
+     ("formula", "bruteforce", "recurrence", "bitstring")),
+    ("compositions", "minor-route-agreement", "triangle",
+     row_zero_of("minors", [2]), (0, 0),
      ("formula", "minors")),
     ("compositions", "row-sums", "c_formula",
      off_by_one(verify.c_formula), (1, None),

@@ -30,8 +30,8 @@ RANGES = {
         "cofactor-closed-form": (204, 8, None),
     },
     "compositions": {
-        "route-agreement": (190, 18, 18),
-        "minor-route-agreement": (120, 14, 14),
+        "route-agreement": (191, 18, 18),
+        "minor-route-agreement": (121, 14, 14),
         "row-sums": (30, 30, None),
         "edge-columns": (31, 30, None),
         "penultimate-zero": (29, 30, 29),
