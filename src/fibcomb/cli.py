@@ -1,7 +1,8 @@
 """Command-line front end: values, tables, and the verification suites.
 
 Exit codes: 0 on success (and when every verification check passes), 1 when
-a verification check fails, 2 on usage or resource errors.
+a verification check fails, 2 on usage or resource errors and when standard
+output is closed before the output is complete (``fibcomb fib 10 | true``).
 
 ``main`` builds the argument parser on its first call and reuses it for the
 rest of the process.  The single values of ``fib``, ``det`` and ``convolved
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .compositions import ROUTES, triangle
@@ -187,9 +189,22 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit:
         sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a closed stdout fails here, where it is caught, and not in the
+        # interpreter's flush at exit
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered, and the flush at exit,
+        # go to os.devnull, so that the one line below is all that is printed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before the output was complete",
+              file=sys.stderr)
         return 2
     finally:
         if digit_limit:

@@ -1,6 +1,6 @@
 """The triangle c(n, k): compositions of n with exactly k parts equal to 1.
 
-Five independent routes compute the same triangle (OEIS A105422); each is a
+Six independent routes compute the same triangle (OEIS A105422); each is a
 ``route`` of ``triangle(n_max, route)``:
 
 * ``bruteforce``     - count every composition of every m <= n_max, one
@@ -28,7 +28,12 @@ Five independent routes compute the same triangle (OEIS A105422); each is a
                        strings counted at O(n 2^n / 64) word operations;
 * ``minors``         - brute-force principal-minor sums of build_G(n), the
                        leading n-block of build_G(n_max): one walk over the
-                       2^n_max index subsets gives every row.
+                       2^n_max index subsets gives every row;
+* ``charpoly``       - the paper's headline claim: c(n, k) is (-1)^(n-k)
+                       times the coefficient of x^k in det(xI - build_G(n)),
+                       and one polynomial expansion walk over
+                       build_G(n_max) gives every row, O(n_max) polynomial
+                       products.
 
 The exhaustive routes stay exponential on purpose, as ground truth: every
 composition and every subset is still visited, but each triangle costs one
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 from .convolved import _convolved_rows, convolved_table
 from .fib import fib
-from .hessenberg import build_G, check_cap, leading_minor_sums
+from .hessenberg import build_G, check_cap, leading_char_polys, leading_minor_sums
 from .poly import convolve
 
 
@@ -211,6 +216,17 @@ def _minors_triangle(n_max: int) -> list[list[int]]:
     return [sums[::-1] for sums in leading_minor_sums(build_G(n_max), n_max)]
 
 
+def _charpoly_triangle(n_max: int) -> list[list[int]]:
+    # c(n, k) is (-1)^(n-k) times the coefficient of x^k in the
+    # characteristic polynomial of build_G(n), the leading n-block of
+    # build_G(n_max)
+    rows = [[1]]
+    if n_max:
+        for n, p in enumerate(leading_char_polys(build_G(n_max)), start=1):
+            rows.append([-c if (n - k) % 2 else c for k, c in enumerate(p.coeffs)])
+    return rows
+
+
 # route -> (rows 0..n_max, the CAPS entry that n_max is checked against, or
 # None).  triangle() has held n_max to the cap, so a route passes n_max as its
 # bound.  Each brute-force route makes one walk per triangle, not one per row.
@@ -220,6 +236,7 @@ _ROUTE_TABLE = {
     "recurrence": (_recurrence_triangle, None),
     "bitstring": (lambda n_max: [_bitstring_row(n) for n in range(n_max + 1)], "compositions"),
     "minors": (_minors_triangle, "minors"),
+    "charpoly": (_charpoly_triangle, None),
 }
 ROUTES = tuple(_ROUTE_TABLE)
 
@@ -233,7 +250,8 @@ def triangle(
 
     ``bound`` overrides the enumeration cap of the brute-force routes
     (``bruteforce``, ``bitstring``, ``minors``), which refuse an n_max above
-    it before building any row; ``formula`` and ``recurrence`` ignore it.
+    it before building any row; ``formula``, ``recurrence`` and
+    ``charpoly`` ignore it.
     Resource errors from a route propagate unchanged.
     """
     if route not in ROUTES:

@@ -11,7 +11,12 @@ independent evidence:
   running carry that every later column takes up.  That is O(sum of head
   lengths) products, O(n) for ``build_F(n)`` and ``build_G(n)``, whose
   heads hold at most two entries.  ``char_poly`` runs the same walk over
-  polynomial entries.
+  polynomial entries.  The walk passes through d[m] for every m on its way
+  to d[n]: ``det`` and ``char_poly`` read the last, and ``leading_dets``
+  and ``leading_char_polys`` yield every leading block's, so one walk over
+  ``build_F(n)`` or ``build_G(n)`` gives every order up to n.  The sign
+  that turns det(H - xI) into det(xI - H) is applied only to an order that
+  is read.
 * ``det_oracle`` is fraction-free Bareiss elimination on a dense matrix and
   shares no code with ``det``.  It defers each step whose factor is 0 into
   one exact scaling per run, so on Hessenberg input, where one row per
@@ -39,7 +44,8 @@ so one walk serves a whole range of orders.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice, repeat
 from operator import add, mul
 
@@ -168,9 +174,10 @@ def build_G(n: int) -> HessenbergMatrix:
     return HessenbergMatrix._of_pairs([((0,), 1)] * (n - 1) + [((0,), 0)])
 
 
-def _expansion_det(rows: Sequence[tuple[Sequence, object]], one):
-    # d[m] is the determinant of the leading m x m block; expanding the last
-    # column against the -1 subdiagonal gives d[m] = sum_i entry(i, m) * d[i-1].
+def _expansion_det(rows: Sequence[tuple[Sequence, object]], one) -> Iterator:
+    # Yields d[1], ..., d[n], where d[m] is the determinant of the leading
+    # m x m block; expanding the last column against the -1 subdiagonal gives
+    # d[m] = sum_i entry(i, m) * d[i-1].
     # rows[i] is the (head, tail) pair of row i+1: entry(i+1, m) is head[m-i-1]
     # for the first len(head) columns m = i+1, i+2, ... and tail after them.
     # totals[m-1] collects the head terms of d[m] and is complete once rows
@@ -188,13 +195,22 @@ def _expansion_det(rows: Sequence[tuple[Sequence, object]], one):
     starts = [zero] * (n + 1)  # starts[n] takes the tails that are empty
     carry = zero
     for i, (head, tail) in enumerate(rows):
-        end = i + len(head)
-        totals[i:end] = map(add, totals[i:end], map(mul, head, repeat(d)))
-        starts[end] += tail * d
+        # one step per head entry: on the families' one- and two-entry heads
+        # that takes about half the time of updating a slice of totals
+        # through map (build_F(1000), build_G(1000))
+        for column, entry in enumerate(head, i):
+            totals[column] += entry * d
+        starts[i + len(head)] += tail * d
         carry += starts[i]
         d = totals[i] + carry
         totals[i] = starts[i] = zero
-    return d
+        yield d
+
+
+def _last(values: Iterable, empty):
+    # the last of values, or empty if there is none, consumed without a loop
+    # step per value in Python
+    return next(iter(deque(values, maxlen=1)), empty)
 
 
 def det(h: HessenbergMatrix) -> int:
@@ -202,6 +218,16 @@ def det(h: HessenbergMatrix) -> int:
 
     O(sum of the rows' head lengths) products, so O(n) for ``build_F(n)``
     and ``build_G(n)``, whose rows are constant after at most two entries.
+    """
+    return _last(leading_dets(h), 1)
+
+
+def leading_dets(h: HessenbergMatrix) -> Iterator[int]:
+    """Determinants of the leading m x m blocks of h, m = 1..n, from one walk.
+
+    The walk ``det`` makes, read at every order: all n values cost what
+    the last one costs.  ``build_F(m)`` and ``build_G(m)`` are the leading
+    blocks of ``build_F(n)`` and ``build_G(n)``.
     """
     return _expansion_det(h.rows, 1)
 
@@ -336,23 +362,41 @@ def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[li
     return sums
 
 
+def _shifted_rows(h: HessenbergMatrix) -> list[tuple[tuple, IntPolynomial]]:
+    # the (head, tail) pairs of H - xI over polynomials: only each row's
+    # head, whose first entry becomes the diagonal h[i][i] - x, and its tail
+    # are lifted
+    x = IntPolynomial.x()
+    lift = IntPolynomial.constant
+    return [
+        ((lift(head[0]) - x, *map(lift, head[1:])), lift(tail))
+        for head, tail in h.rows
+    ]
+
+
 def char_poly(h: HessenbergMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - H), monic of degree n.
 
     Runs the same subdiagonal expansion as ``det`` but over polynomial
     entries: the expansion yields det(H - xI), and the sign flip for odd
-    order converts it.  Only each row's head, whose first entry becomes the
-    diagonal h[i][i] - x, and its tail are lifted to polynomials, so the
-    walk makes O(sum of head lengths) polynomial products.
+    order converts it.  Only each row's head and tail are lifted to
+    polynomials, so the walk makes O(sum of head lengths) polynomial
+    products.
     """
-    x = IntPolynomial.x()
-    lift = IntPolynomial.constant
-    rows = [
-        ((lift(head[0]) - x, *map(lift, head[1:])), lift(tail))
-        for head, tail in h.rows
-    ]
-    p = _expansion_det(rows, IntPolynomial.one())
+    p = _last(_expansion_det(_shifted_rows(h), IntPolynomial.one()), IntPolynomial.one())
     return -p if h.n % 2 else p
+
+
+def leading_char_polys(h: HessenbergMatrix) -> Iterator[IntPolynomial]:
+    """Characteristic polynomials of the leading m x m blocks, m = 1..n.
+
+    The walk ``char_poly`` makes, read at every order, so the n
+    polynomials cost what the last one costs; each odd order takes its
+    sign flip as it is read.  The walk keeps no polynomial it has passed.
+    """
+    walk = _expansion_det(_shifted_rows(h), IntPolynomial.one())
+    for m, p in enumerate(walk, start=1):
+        yield -p if m % 2 else p
 
 
 def cofactor_F(n: int, i: int, j: int) -> int:

@@ -4,17 +4,20 @@ Each suite pits at least two independently coded routes against each other
 and reports a concrete counterexample on the first disagreement.  Suites:
 
 * ``thm11``        - determinants of the F/G families against Fibonacci
-                     numbers, plus random matrices for the generic
-                     recurrence-equals-scaled-determinant identity;
+                     numbers, every order of the expansion from one walk
+                     and the oracle order by order, plus random matrices
+                     for the generic recurrence-equals-scaled-determinant
+                     identity;
 * ``minors``       - principal-minor sums of F against the convolution series;
-* ``charpoly``     - characteristic polynomials against shifted Fibonacci
-                     polynomials, their coefficients against convolved
+* ``charpoly``     - characteristic polynomials, every order from one walk,
+                     against shifted Fibonacci polynomials coefficient by
+                     coefficient, their coefficients against convolved
                      numbers, and the binomial route against the series
                      and the row-recurrence table;
 * ``identity24``   - the alternating double binomial sum against Fibonacci;
 * ``adjugate``     - closed-form cofactors against oracle minors and the
                      cofactor-matrix determinant against fib(n+1)^(n-1);
-* ``compositions`` - the five triangle routes against each other and the
+* ``compositions`` - the six triangle routes against each other and the
                      structural row properties.
 
 ``run_suite("compositions", variant="wrong-index")`` instead runs the
@@ -25,7 +28,9 @@ constraint from n-2k-1 to n-2k+1 breaks the count at (n, k) = (3, 1) with
 A suite maps each check name to a lazy stream of cases ``(n, k, values)``,
 ``values`` mapping a route label to that route's value.  One engine walks a
 check's cases, stops at the first disagreement and times the walk, so all
-of a check's route work falls inside its recorded duration.
+of a check's route work falls inside its recorded duration.  Every case of
+a check carries the same labels, so the engine picks out the compared ones
+once, from the first case.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from operator import itemgetter
 
 from .compositions import (
     c_formula,
@@ -53,12 +59,12 @@ from .hessenberg import (
     adjugate_det_F,
     build_F,
     build_G,
-    char_poly,
     check_cap,
     cofactor_F,
     dense_cofactor,
-    det,
     det_oracle,
+    leading_char_polys,
+    leading_dets,
     leading_minor_sums,
     recurrence_term,
 )
@@ -116,21 +122,31 @@ _POSITION_LABELS = frozenset({"trial", "a1", "i", "j"})
 _TESTS = {"edge-columns": lambda v: v["c(n,0)"] == v["fib(n-1)"] and v["c(n,n)"] == 1}
 
 
-def _routes_agree(values: dict[str, object]) -> bool:
-    compared = [v for label, v in values.items() if label not in _POSITION_LABELS]
-    return compared.count(compared[0]) == len(compared)
+def _routes_agree(labels: list[str]):
+    # every case of a check carries the same labels, so the compared ones
+    # are picked out once per check
+    compared = itemgetter(*labels)
+
+    def holds(values: dict[str, object]) -> bool:
+        routes = compared(values)
+        return routes.count(routes[0]) == len(routes)
+
+    return holds
 
 
 def _run_check(name: str, cases: Iterable[Case]) -> CheckResult:
-    holds = _TESTS.get(name, _routes_agree)
+    holds = _TESTS.get(name)
     started = time.perf_counter()
     counterexample = None
     count, max_n, max_k = 0, None, None
     for n, k, values in cases:
+        if holds is None:
+            holds = _routes_agree([label for label in values if label not in _POSITION_LABELS])
         count += 1
-        max_n = n if max_n is None else max(max_n, n)
-        if k is not None:
-            max_k = k if max_k is None else max(max_k, k)
+        if max_n is None or n > max_n:
+            max_n = n
+        if k is not None and (max_k is None or k > max_k):
+            max_k = k
         if not holds(values):
             counterexample = Counterexample(n, k, values)
             break
@@ -139,10 +155,18 @@ def _run_check(name: str, cases: Iterable[Case]) -> CheckResult:
                        count, max_n, max_k)
 
 
+def _leading(walk, build, n_max: int) -> Iterator[tuple[int, object]]:
+    # (m, value of the leading m-block) for m = 1..n_max from one walk over
+    # build(n_max), whose leading m-block is build(m); a generator, so the
+    # walk runs inside the check's timing, and n_max = 0 builds nothing
+    if n_max >= 1:
+        yield from enumerate(walk(build(n_max)), start=1)
+
+
 def _det_cases(build, index_shift: int, limit: int) -> Iterator[Case]:
-    for n in range(1, limit + 1):
-        h = build(n)
-        yield n, None, {"expansion": det(h), "oracle": det_oracle(h.materialize()),
+    # the oracle takes each order on its own, as the independent route
+    for n, d in _leading(leading_dets, build, limit):
+        yield n, None, {"expansion": d, "oracle": det_oracle(build(n).materialize()),
                         "fibonacci": fib(n + index_shift)}
 
 
@@ -226,16 +250,15 @@ def _minors(limit, bound, seed):
 def _charpoly(limit, bound, seed):
     return {
         "charpoly-equals-shifted-fib-poly": (
-            (n, None, {"char-poly": str(char_poly(build_F(n))),
-                       "shifted-fib-poly": str(shift_poly(fib_poly(n + 1)))})
-            for n in range(1, limit(15) + 1)
+            (n, None, {"char-poly": p.coeffs,
+                       "shifted-fib-poly": shift_poly(fib_poly(n + 1)).coeffs})
+            for n, p in _leading(leading_char_polys, build_F, limit(15))
         ),
         "charpoly-coefficients-are-convolved": (
             (n, k, {"coefficient": p.coefficient(k),
                     "signed-convolved": (-1) ** (n - k) * series[k][n - k]})
             for series in _lazy(_series_table, limit(15))
-            for n in range(1, limit(15) + 1)
-            for p in [char_poly(build_F(n))]
+            for n, p in _leading(leading_char_polys, build_F, limit(15))
             for k in range(n + 1)
         ),
         "binomial-route-agrees": _binomial_cases(limit(40)),
@@ -274,7 +297,7 @@ def _compositions(limit, bound, seed):
         "route-agreement": _triangle_cases(
             limit(18), ("formula", "bruteforce", "recurrence", "bitstring"), bound),
         "minor-route-agreement": _triangle_cases(
-            min(14, limit(18)), ("formula", "minors"), bound),
+            min(14, limit(18)), ("formula", "minors", "charpoly"), bound),
         "row-sums": (
             (n, None, {"row-sum": sum(c_formula(n, k, table) for k in range(n + 1)),
                        "power": 2 ** (n - 1)})

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import fibcomb
 from fibcomb.cli import _STR_BITS, _int_digits, build_parser, main
 from fibcomb.convolved import _series_rows, convolved_fib, convolved_fib_binomial
 from fibcomb.fib import fib
@@ -87,7 +91,7 @@ def test_triangle_bfile_line_count(capsys):
 
 def test_triangle_routes_give_identical_output(capsys):
     outputs = set()
-    for route in ("bruteforce", "formula", "recurrence", "bitstring", "minors"):
+    for route in ("bruteforce", "formula", "recurrence", "bitstring", "minors", "charpoly"):
         code, out, _ = run(capsys, "triangle", "8", "--route", route)
         assert code == 0
         outputs.add(out)
@@ -108,7 +112,10 @@ def test_det_commands(capsys):
 
 
 def test_charpoly_output(capsys):
-    assert run(capsys, "charpoly", "2")[:2] == (0, "x^2 - 2x + 2\n")
+    # det(xI - F_n) = (x - 1) det(xI - F_(n-1)) + det(xI - F_(n-2)), by hand
+    printed = ["x - 1", "x^2 - 2x + 2", "x^3 - 3x^2 + 5x - 3", "x^4 - 4x^3 + 9x^2 - 10x + 5"]
+    for n, text in enumerate(printed, start=1):
+        assert run(capsys, "charpoly", str(n)) == (0, text + "\n", ""), n
 
 
 def test_verify_single_suite_passes(capsys):
@@ -169,6 +176,24 @@ def test_unknown_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("fib", "10"), ("verify", "--nmax", "2")], ids=["fib", "verify"])
+def test_a_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    # the read end is closed before the command starts, so its first write
+    # (unbuffered) or its flush (buffered) meets a broken pipe
+    src = Path(fibcomb.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "fibcomb", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (
+        2, "error: standard output was closed before the output was complete\n")
 
 
 needs_digit_limit = pytest.mark.skipif(

@@ -287,7 +287,7 @@ def test_triangle_zero_is_the_empty_composition_alone(route):
 
 def test_triangle_routes_agree():
     reference = triangle(9)
-    for route in ("bruteforce", "recurrence", "bitstring", "minors"):
+    for route in ("bruteforce", "recurrence", "bitstring", "minors", "charpoly"):
         assert triangle(9, route=route) == reference
 
 
@@ -295,6 +295,7 @@ def test_formula_and_recurrence_triangles_agree_to_rows_80_and_150():
     for n_max in (80, 150):
         formula, recurrence = triangle(n_max), triangle(n_max, "recurrence")
         assert formula == recurrence
+        assert triangle(n_max, "charpoly") == recurrence
 
 
 @settings(max_examples=15, deadline=None)

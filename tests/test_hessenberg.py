@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import deque
 
 import hypothesis.strategies as st
 import pytest
@@ -22,6 +23,8 @@ from fibcomb.hessenberg import (
     dense_cofactor,
     det,
     det_oracle,
+    leading_char_polys,
+    leading_dets,
     leading_minor_sums,
     recurrence_term,
 )
@@ -235,6 +238,40 @@ def test_order_zero_gives_one():
     empty = HessenbergMatrix([])
     assert det(empty) == 1
     assert char_poly(empty) == 1
+    assert list(leading_dets(empty)) == list(leading_char_polys(empty)) == []
+
+
+def _leading_blocks(h):
+    # the leading m x m blocks of h, m = 1..n, each built from its own entries
+    full = h.materialize()
+    return [HessenbergMatrix(row[i:m] for i, row in enumerate(full[:m]))
+            for m in range(1, h.n + 1)]
+
+
+@given(constant_tailed_hessenberg_matrices())
+@settings(max_examples=40, deadline=None)
+def test_leading_dets_are_the_oracle_determinants_of_the_leading_blocks(h):
+    assert list(leading_dets(h)) == [
+        det_oracle(block.materialize()) for block in _leading_blocks(h)]
+
+
+@given(constant_tailed_hessenberg_matrices(max_order=20))
+@settings(max_examples=30, deadline=None)
+def test_leading_char_polys_are_the_char_polys_of_the_leading_blocks(h):
+    assert list(leading_char_polys(h)) == list(map(char_poly, _leading_blocks(h)))
+
+
+def test_leading_char_polys_keep_no_passed_polynomial():
+    # read and dropped one by one, the 300 polynomials leave the walk holding
+    # a few open columns, under the same ceiling as char_poly
+    h = build_G(300)
+    tracemalloc.start()
+    try:
+        deque(leading_char_polys(h), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def test_det_oracle_conventions():

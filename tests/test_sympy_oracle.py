@@ -24,9 +24,19 @@ def test_det_matches_sympy():
             assert det(h) == sympy.Matrix(h.materialize()).det()
 
 
+def _sympy_char_poly_coeffs(h):
+    # coefficients in increasing power, as IntPolynomial stores them
+    return sympy.Matrix(h.materialize()).charpoly(sympy.Symbol("x")).all_coeffs()[::-1]
+
+
 def test_char_poly_of_F_matches_sympy():
-    x = sympy.Symbol("x")
     for n in range(1, 13):
         h = build_F(n)
-        expected = sympy.Matrix(h.materialize()).charpoly(x).all_coeffs()
-        assert list(char_poly(h).coeffs) == expected[::-1]
+        assert list(char_poly(h).coeffs) == _sympy_char_poly_coeffs(h)
+
+
+def test_char_poly_of_G_matches_sympy():
+    # the paper's headline matrix: its coefficients are the signed c(n, k)
+    for n in range(1, 13):
+        h = build_G(n)
+        assert list(char_poly(h).coeffs) == _sympy_char_poly_coeffs(h)

@@ -11,10 +11,25 @@ import pytest
 
 from fibcomb import verify
 from fibcomb.compositions import c_formula, triangle
+from fibcomb.poly import IntPolynomial
 
 
 def off_by_one(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + 1
+
+
+def walk_off_by_one(walk):
+    # a leading-block walk with the value of every order one too high
+    return lambda h: (value + 1 for value in walk(h))
+
+
+def constant_moved_to_the_top(fn):
+    # fn's polynomial with its constant coefficient moved above its leading one
+    def mutant(*args):
+        coeffs = fn(*args).coeffs
+        return IntPolynomial((0, *coeffs[1:], coeffs[0]))
+
+    return mutant
 
 
 def table_off_by_one(fn):
@@ -69,8 +84,8 @@ def row_zero_of(route, row):
 MUTATIONS = [
     # suite, check, route replaced (mutants wrap the unpatched route), mutant,
     # (n, k) of the counterexample, labels
-    ("thm11", "det-F-fibonacci", "det",
-     off_by_one(verify.det), (1, None),
+    ("thm11", "det-F-fibonacci", "leading_dets",
+     walk_off_by_one(verify.leading_dets), (1, None),
      ("expansion", "oracle", "fibonacci")),
     ("thm11", "det-G-fibonacci", "det_oracle",
      off_by_one(verify.det_oracle), (1, None),
@@ -87,8 +102,11 @@ MUTATIONS = [
     ("charpoly", "charpoly-equals-shifted-fib-poly", "shift_poly",
      off_by_one(verify.shift_poly), (1, None),
      ("char-poly", "shifted-fib-poly")),
-    ("charpoly", "charpoly-coefficients-are-convolved", "char_poly",
-     off_by_one(verify.char_poly), (1, 0),
+    ("charpoly", "charpoly-equals-shifted-fib-poly", "shift_poly",
+     constant_moved_to_the_top(verify.shift_poly), (1, None),
+     ("char-poly", "shifted-fib-poly")),
+    ("charpoly", "charpoly-coefficients-are-convolved", "leading_char_polys",
+     walk_off_by_one(verify.leading_char_polys), (1, 0),
      ("coefficient", "signed-convolved")),
     ("charpoly", "charpoly-coefficients-are-convolved", "_series_rows",
      table_off_by_one(verify._series_rows), (1, 0),
@@ -125,13 +143,16 @@ MUTATIONS = [
      ("formula", "bruteforce", "recurrence", "bitstring")),
     ("compositions", "minor-route-agreement", "triangle",
      rows_off_by_one("minors"), (0, 0),
-     ("formula", "minors")),
+     ("formula", "minors", "charpoly")),
     ("compositions", "route-agreement", "triangle",
      last_row_padded("bruteforce"), (6, 7),
      ("formula", "bruteforce", "recurrence", "bitstring")),
     ("compositions", "minor-route-agreement", "triangle",
      row_zero_of("minors", [2]), (0, 0),
-     ("formula", "minors")),
+     ("formula", "minors", "charpoly")),
+    ("compositions", "minor-route-agreement", "triangle",
+     rows_off_by_one("charpoly"), (0, 0),
+     ("formula", "minors", "charpoly")),
     ("compositions", "row-sums", "c_formula",
      off_by_one(verify.c_formula), (1, None),
      ("row-sum", "power")),
