@@ -49,5 +49,15 @@ def fib_poly(n: int) -> IntPolynomial:
 
 
 def shift_poly(p: IntPolynomial) -> IntPolynomial:
-    """Exact composition p(x - 1)."""
-    return p(IntPolynomial.x() - 1)
+    """Exact composition p(x - 1), by a Taylor shift of the coefficients.
+
+    p(x - 1) = sum b_i x^i exactly when p(x) = sum b_i (x + 1)^i.  Pass i
+    divides the quotient held in coeffs[i:] by x + 1 synthetically and
+    leaves the remainder b_i in coeffs[i]: deg(deg + 1) / 2 integer
+    subtractions and no polynomial products.
+    """
+    coeffs = list(p.coeffs)
+    for i in range(len(coeffs) - 1):
+        for j in range(len(coeffs) - 2, i - 1, -1):
+            coeffs[j] -= coeffs[j + 1]
+    return IntPolynomial(coeffs)

@@ -22,6 +22,12 @@ independent evidence:
   one exact scaling per run, so on Hessenberg input, where one row per
   column has a nonzero factor, it makes O(n^2) operations, not O(n^3).
 
+``adjugate_oracle`` gives every cofactor of a dense matrix at once, from one
+fraction-free Gauss-Jordan pass over [A | I]: O(n^3) products where one
+elimination per minor would take O(n^5).  It is the oracle side of the
+closed-form ``cofactor_F`` and shares no code with it or with
+``det_oracle``.
+
 ``leading_minor_sums`` is the brute-force ground truth for sums of
 principal minors.  It visits all 2^n index subsets in one walk: a
 principal submatrix of a Hessenberg matrix is block upper triangular over
@@ -290,17 +296,44 @@ def det_oracle(matrix: DenseMatrix) -> int:
     return sign * m[n - 1][n - 1] * prev // base[n - 1]
 
 
-def dense_cofactor(matrix: DenseMatrix, i: int, j: int) -> int:
-    """Signed minor (-1)^(i+j) * det of ``matrix`` with row i and column j removed."""
+def adjugate_oracle(matrix: DenseMatrix) -> list[list[int]]:
+    """Adjugate of a nonsingular square integer matrix, adj(A) = det(A) A^-1.
+
+    One fraction-free Gauss-Jordan pass over [A | I] (Bareiss, Math. Comp.
+    22, 1968): step k makes every row but the pivot row k zero in column k
+    by row_r = (pivot * row_r - row_r[k] * row_k) / prev, prev being the
+    previous pivot.  Every entry is then a minor of [A | I], so every
+    division is exact.  After n steps the row operations M make M A =
+    s det(A) I, s the sign of the row swaps, so the right half M is s adj(A).
+    O(n^3) products for all n^2 cofactors.  Serves as the independent
+    ground truth for ``cofactor_F`` and shares no code with ``det_oracle``.
+    Raises ``ValueError`` for non-square or singular input; the empty
+    matrix has the empty adjugate.
+    """
     n = len(matrix)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"cofactor position ({i}, {j}) outside order-{n} matrix")
-    sub = [
-        [v for c, v in enumerate(row, start=1) if c != j]
-        for r, row in enumerate(matrix, start=1)
-        if r != i
-    ]
-    return (-1) ** (i + j) * det_oracle(sub)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    rows = [[*row, *(int(c == r) for c in range(n))] for r, row in enumerate(matrix)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        found = next((r for r in range(k, n) if rows[r][k]), None)
+        if found is None:
+            raise ValueError("matrix is singular")
+        if found != k:
+            rows[k], rows[found] = rows[found], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        right = pivot_row[k + 1 :]
+        # columns up to k are never read again, so only those past k change
+        for r, row in enumerate(rows):
+            if r != k:
+                factor = row[k]
+                row[k + 1 :] = [(pivot * x - factor * y) // prev
+                                for x, y in zip(row[k + 1 :], right)]
+        prev = pivot
+    return [[sign * x for x in row[n:]] for row in rows]
 
 
 def leading_minor_sums(h: HessenbergMatrix, bound: int | None = None) -> list[list[int]]:

@@ -15,8 +15,9 @@ and reports a concrete counterexample on the first disagreement.  Suites:
                      numbers, and the binomial route against the series
                      and the row-recurrence table;
 * ``identity24``   - the alternating double binomial sum against Fibonacci;
-* ``adjugate``     - closed-form cofactors against oracle minors and the
-                     cofactor-matrix determinant against fib(n+1)^(n-1);
+* ``adjugate``     - closed-form cofactors against the oracle adjugate, one
+                     elimination per order, and the cofactor-matrix
+                     determinant against fib(n+1)^(n-1);
 * ``compositions`` - the six triangle routes against each other and the
                      structural row properties.
 
@@ -57,11 +58,11 @@ from .fib import fib, fib_poly, shift_poly
 from .hessenberg import (
     HessenbergMatrix,
     adjugate_det_F,
+    adjugate_oracle,
     build_F,
     build_G,
     check_cap,
     cofactor_F,
-    dense_cofactor,
     det_oracle,
     leading_char_polys,
     leading_dets,
@@ -281,9 +282,9 @@ def _adjugate(limit, bound, seed):
         ),
         "cofactor-closed-form": (
             (n, None, {"i": i, "j": j, "closed-form": cofactor_F(n, i, j),
-                       "oracle": dense_cofactor(full, i, j)})
+                       "oracle": adj[j - 1][i - 1]})
             for n in range(1, limit(8) + 1)
-            for full in [build_F(n).materialize()]
+            for adj in [adjugate_oracle(build_F(n).materialize())]
             for i in range(1, n + 1)
             for j in range(1, n + 1)
         ),

@@ -103,3 +103,10 @@ def test_shift_examples():
 def test_shift_then_unshift_is_identity(coeffs):
     p = IntPolynomial(coeffs)
     assert shift_poly(p)(IntPolynomial.x() + 1) == p
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=12))
+def test_shift_is_composition_with_x_minus_one(coeffs):
+    # the Taylor shift against Horner's composition over IntPolynomial
+    p = IntPolynomial(coeffs)
+    assert shift_poly(p) == p(IntPolynomial.x() - 1)

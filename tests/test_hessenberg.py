@@ -16,11 +16,11 @@ from fibcomb.hessenberg import (
     EnumerationBoundError,
     HessenbergMatrix,
     adjugate_det_F,
+    adjugate_oracle,
     build_F,
     build_G,
     char_poly,
     cofactor_F,
-    dense_cofactor,
     det,
     det_oracle,
     leading_char_polys,
@@ -44,6 +44,17 @@ def _det_cofactor(m):
             sub = [row[:j] + row[j + 1 :] for row in m[1:]]
             total += (-1) ** j * v * _det_cofactor(sub)
     return total
+
+
+def dense_cofactor(matrix, i, j):
+    # test-local reference cofactor: (-1)^(i+j) times the oracle determinant
+    # of matrix with row i and column j removed, one elimination per entry
+    sub = [
+        [v for c, v in enumerate(row, start=1) if c != j]
+        for r, row in enumerate(matrix, start=1)
+        if r != i
+    ]
+    return (-1) ** (i + j) * det_oracle(sub)
 
 
 @st.composite
@@ -632,8 +643,74 @@ def test_cofactor_rejects_bad_positions():
         cofactor_F(3, 0, 1)
     with pytest.raises(ValueError):
         cofactor_F(3, 1, 4)
-    with pytest.raises(ValueError):
-        dense_cofactor([[1]], 2, 1)
+
+
+def _reference_adjugate(matrix):
+    n = len(matrix)
+    return [[dense_cofactor(matrix, j, i) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def _nonsingular_matrices(rng, count, max_order=7):
+    # about half the entries are 0, and every other matrix starts with a 0
+    # pivot, so the elimination meets zero pivots and row swaps
+    found = []
+    while len(found) < count:
+        n = rng.randint(1, max_order)
+        m = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
+        if len(found) % 2:
+            m[0][0] = 0
+        if det_oracle(m):
+            found.append(m)
+    return found
+
+
+def test_adjugate_oracle_examples():
+    assert adjugate_oracle([]) == []
+    assert adjugate_oracle([[-7]]) == [[1]]
+    assert adjugate_oracle([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
+    assert adjugate_oracle([[0, 1], [1, 0]]) == [[0, -1], [-1, 0]]
+
+
+def test_adjugate_oracle_is_the_transposed_reference_cofactors():
+    for m in _nonsingular_matrices(random.Random(28), 300):
+        assert adjugate_oracle(m) == _reference_adjugate(m), m
+
+
+@pytest.mark.parametrize("build, first", [(build_F, 1), (build_G, 2)])
+def test_adjugate_oracle_on_the_families(build, first):
+    # build_G has a zero diagonal, so every column but the last needs a swap
+    for n in range(first, 12):
+        full = build(n).materialize()
+        assert adjugate_oracle(full) == _reference_adjugate(full), n
+
+
+def test_adjugate_times_matrix_is_determinant_times_identity():
+    matrices = _nonsingular_matrices(random.Random(29), 100)
+    matrices += [build_G(n).materialize() for n in range(2, 12)]
+    for m in matrices:
+        n = len(m)
+        adj = adjugate_oracle(m)
+        d = det_oracle(m)
+        product = [[sum(adj[r][t] * m[t][c] for t in range(n)) for c in range(n)]
+                   for r in range(n)]
+        assert product == [[d * (r == c) for c in range(n)] for r in range(n)]
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 2], [2, 4]],
+    [[0, 1, 1], [0, 1, 1], [0, 0, 1]],  # no pivot in the first column
+    [[1, 1, 1], [1, 1, 1], [1, 0, 1]],  # rank 2
+    build_G(1).materialize(),
+])
+def test_adjugate_oracle_refuses_singular_input(matrix):
+    with pytest.raises(ValueError, match="singular"):
+        adjugate_oracle(matrix)
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [[1, 0], [0]], [[1, 0], [0, 1, 0]]])
+def test_adjugate_oracle_refuses_non_square_input(matrix):
+    with pytest.raises(ValueError, match="square"):
+        adjugate_oracle(matrix)
 
 
 def test_adjugate_det_examples():

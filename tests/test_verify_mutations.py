@@ -129,6 +129,9 @@ MUTATIONS = [
     ("adjugate", "cofactor-closed-form", "cofactor_F",
      off_by_one(verify.cofactor_F), (1, None),
      ("i", "j", "closed-form", "oracle")),
+    ("adjugate", "cofactor-closed-form", "adjugate_oracle",
+     table_off_by_one(verify.adjugate_oracle), (1, None),
+     ("i", "j", "closed-form", "oracle")),
     ("compositions", "route-agreement", "triangle",
      rows_off_by_one("recurrence"), (0, 0),
      ("formula", "bruteforce", "recurrence", "bitstring")),

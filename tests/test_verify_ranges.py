@@ -5,6 +5,9 @@ compared.  Pinning them keeps a faster route from passing by quietly
 walking fewer cases or stopping at a smaller index.
 """
 
+from collections import Counter
+
+from fibcomb import hessenberg, verify
 from fibcomb.verify import run_all, run_suite
 
 # suite -> check -> (cases, max_n, max_k)
@@ -52,3 +55,19 @@ def test_every_check_covers_its_pinned_range():
 def test_a_failing_check_counts_the_cases_up_to_its_counterexample():
     (check,) = run_suite("compositions", variant="wrong-index").checks
     assert (check.cases, check.max_n, check.max_k) == (1, 3, 1)
+
+
+def test_adjugate_suite_eliminates_once_per_order(monkeypatch):
+    # one adjugate per order for the 204 closed-form cofactors, and one
+    # determinant per order for the cofactor-matrix check
+    calls = []
+    for module, name in [(hessenberg, "det_oracle"), (verify, "det_oracle"),
+                         (verify, "adjugate_oracle")]:
+
+        def counted(*args, route=getattr(module, name), name=name):
+            calls.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert run_suite("adjugate").passed
+    assert Counter(calls) == {"det_oracle": 9, "adjugate_oracle": 8}
