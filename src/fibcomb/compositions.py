@@ -63,25 +63,6 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
 
 
-def _ones_power_coefficient(
-    n: int, k: int, shift: int, table: list[list[int]] | None = None
-) -> int:
-    # coefficient of x^top, top = n-k+shift, in G(x)^(k+1), which is
-    # (1-x)^(k+1) times row k+1 of the convolved table
-    _check_nk(n, k)
-    top = n - k + shift
-    if table is None:
-        table = convolved_table(k + 1, top + 1)
-    elif len(table) <= k or len(table[k]) <= top:
-        raise ValueError(f"convolved table too small for n={n}, k={k}")
-    row = table[k]
-    total, b = 0, 1  # b = (-1)^j * C(k+1, j)
-    for j in range(min(k + 1, top) + 1):
-        total += b * row[top - j]
-        b = -b * (k + 1 - j) // (j + 1)
-    return total
-
-
 def c_formula(n: int, k: int, table: list[list[int]] | None = None) -> int:
     """c(n, k) by the explicit formula in convolved Fibonacci numbers.
 
@@ -101,17 +82,32 @@ def c_formula(n: int, k: int, table: list[list[int]] | None = None) -> int:
     of n-r+2 terms: about n^2/2 additions for the row instead of about
     n^3/6, so a whole triangle costs about n^3/6 additions.
     """
-    return _ones_power_coefficient(n, k, 0, table)
+    _check_nk(n, k)
+    top = n - k
+    if table is None:
+        table = convolved_table(k + 1, top + 1)
+    elif len(table) <= k or len(table[k]) <= top:
+        raise ValueError(f"convolved table too small for n={n}, k={k}")
+    # (1-x)^(k+1) times row k+1 of the convolved table, read at x^top
+    row = table[k]
+    total, b = 0, 1  # b = (-1)^j * C(k+1, j)
+    for j in range(min(k + 1, top) + 1):
+        total += b * row[top - j]
+        b = -b * (k + 1 - j) // (j + 1)
+    return total
 
 
 def c_formula_wrong_index(n: int, k: int) -> int:
     """Variant of c_formula with the tuple-sum constraint shifted to n-2k+1.
 
-    Kept as a counterexample generator: it does NOT count compositions (at
-    n=3, k=1 it yields 5 where the true count is 2; at k=0 it yields
-    fib(n+1) instead of fib(n-1)).
+    Kept as a counterexample generator: it does NOT count compositions.
+    Shifting the constraint by 2 reads x^(n-k+2) in G(x)^(k+1), which is
+    c(n+2, k), the count two rows down (at n=3, k=1 it yields c(5, 1) = 5
+    where the true count is 2; at k=0 it yields fib(n+1) instead of
+    fib(n-1)).
     """
-    return _ones_power_coefficient(n, k, 2)
+    _check_nk(n, k)
+    return c_formula(n + 2, k)
 
 
 # Lanes per block of the bit-sliced scan: one int of 2^16 bits (8 KiB) per

@@ -26,19 +26,20 @@ deliberate counterexample demonstrating that shifting the tuple-sum
 constraint from n-2k-1 to n-2k+1 breaks the count at (n, k) = (3, 1) with
 5 vs 2.
 
-A suite maps each check name to a lazy stream of cases ``(n, k, values)``,
-``values`` mapping a route label to that route's value.  One engine walks a
-check's cases, stops at the first disagreement and times the walk, so all
-of a check's route work falls inside its recorded duration.  Every case of
-a check carries the same labels, so the engine picks out the compared ones
-once, from the first case.
+A suite maps each check name to a function the engine calls inside the
+check's timing, which returns the check's cases ``(n, k, values)``,
+``values`` mapping a route label to that route's value.  One engine starts
+the timer, calls that function, walks its cases and stops at the first
+disagreement, so all of a check's route work falls inside its recorded
+duration.  Every case of a check carries the same labels, so the engine
+picks out the compared ones once, from the first case.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from operator import itemgetter
@@ -61,7 +62,6 @@ from .hessenberg import (
     adjugate_oracle,
     build_F,
     build_G,
-    check_cap,
     cofactor_F,
     det_oracle,
     leading_char_polys,
@@ -135,12 +135,12 @@ def _routes_agree(labels: list[str]):
     return holds
 
 
-def _run_check(name: str, cases: Iterable[Case]) -> CheckResult:
+def _run_check(name: str, cases: Callable[[], Iterable[Case]]) -> CheckResult:
     holds = _TESTS.get(name)
     started = time.perf_counter()
     counterexample = None
     count, max_n, max_k = 0, None, None
-    for n, k, values in cases:
+    for n, k, values in cases():
         if holds is None:
             holds = _routes_agree([label for label in values if label not in _POSITION_LABELS])
         count += 1
@@ -156,12 +156,10 @@ def _run_check(name: str, cases: Iterable[Case]) -> CheckResult:
                        count, max_n, max_k)
 
 
-def _leading(walk, build, n_max: int) -> Iterator[tuple[int, object]]:
+def _leading(walk, build, n_max: int) -> Iterable[tuple[int, object]]:
     # (m, value of the leading m-block) for m = 1..n_max from one walk over
-    # build(n_max), whose leading m-block is build(m); a generator, so the
-    # walk runs inside the check's timing, and n_max = 0 builds nothing
-    if n_max >= 1:
-        yield from enumerate(walk(build(n_max)), start=1)
+    # build(n_max), whose leading m-block is build(m); n_max = 0 builds nothing
+    return enumerate(walk(build(n_max)), start=1) if n_max else ()
 
 
 def _det_cases(build, index_shift: int, limit: int) -> Iterator[Case]:
@@ -199,15 +197,9 @@ def _series_table(n_max: int) -> list[list[int]]:
     return list(_series_rows(range(n_max + 1, 0, -1)))
 
 
-def _lazy(build, *args) -> Iterator:
-    # a generator, so what it builds is built inside the check's timing
-    yield build(*args)
-
-
 def _binomial_cases(n_max: int) -> Iterator[Case]:
-    # a generator, so the series and the table are built inside the check's
-    # timing; "binomial" is the value `fibcomb convolved R M` prints, with
-    # its argument mapping
+    # "binomial" is the value `fibcomb convolved R M` prints, with its
+    # argument mapping
     series = _series_table(n_max)
     table = convolved_table(n_max + 1, n_max + 1)
     for n in range(n_max + 1):
@@ -218,12 +210,10 @@ def _binomial_cases(n_max: int) -> Iterator[Case]:
 
 
 def _minor_sum_cases(n_max: int, bound: int | None) -> Iterator[Case]:
-    # a generator, so the walk and the series run inside the check's timing;
     # build_F(n) is the leading n-block of build_F(n_max), so one walk gives
-    # every order
-    if n_max < 1:
-        return
-    leading = leading_minor_sums(build_F(n_max), bound)
+    # every order; at n_max = 0 the walk is over the empty matrix, so the
+    # bound is still checked
+    leading = leading_minor_sums(build_F(n_max) if n_max else HessenbergMatrix([]), bound)
     series = _series_table(n_max)
     for n in range(1, n_max + 1):
         sums = leading[n]
@@ -232,42 +222,42 @@ def _minor_sum_cases(n_max: int, bound: int | None) -> Iterator[Case]:
 
 
 # Each suite takes limit (default index bound -> the bound in force), the
-# enumeration cap and the seed, and returns {check name: lazy cases}.
+# enumeration cap and the seed, and returns {check name: function returning
+# the check's cases}; building a suite does no route work.
 
 
 def _thm11(limit, bound, seed):
     return {
-        "det-F-fibonacci": _det_cases(build_F, 1, limit(25)),
-        "det-G-fibonacci": _det_cases(build_G, -1, limit(25)),
-        "random-tables": _random_tables(seed),
+        "det-F-fibonacci": lambda: _det_cases(build_F, 1, limit(25)),
+        "det-G-fibonacci": lambda: _det_cases(build_G, -1, limit(25)),
+        "random-tables": lambda: _random_tables(seed),
     }
 
 
 def _minors(limit, bound, seed):
-    check_cap("minors", limit(12), bound)
-    return {"minor-sums-are-convolved": _minor_sum_cases(limit(12), bound)}
+    return {"minor-sums-are-convolved": lambda: _minor_sum_cases(limit(12), bound)}
 
 
 def _charpoly(limit, bound, seed):
     return {
-        "charpoly-equals-shifted-fib-poly": (
+        "charpoly-equals-shifted-fib-poly": lambda: (
             (n, None, {"char-poly": p.coeffs,
                        "shifted-fib-poly": shift_poly(fib_poly(n + 1)).coeffs})
             for n, p in _leading(leading_char_polys, build_F, limit(15))
         ),
-        "charpoly-coefficients-are-convolved": (
+        "charpoly-coefficients-are-convolved": lambda: (
             (n, k, {"coefficient": p.coefficient(k),
                     "signed-convolved": (-1) ** (n - k) * series[k][n - k]})
-            for series in _lazy(_series_table, limit(15))
+            for series in [_series_table(limit(15))]
             for n, p in _leading(leading_char_polys, build_F, limit(15))
             for k in range(n + 1)
         ),
-        "binomial-route-agrees": _binomial_cases(limit(40)),
+        "binomial-route-agrees": lambda: _binomial_cases(limit(40)),
     }
 
 
 def _identity24(limit, bound, seed):
-    return {"alternating-sum-is-fibonacci": (
+    return {"alternating-sum-is-fibonacci": lambda: (
         (n, None, {"alternating-sum": alternating_sum(n), "fibonacci": fib(n + 1)})
         for n in range(limit(40) + 1)
     )}
@@ -275,12 +265,12 @@ def _identity24(limit, bound, seed):
 
 def _adjugate(limit, bound, seed):
     return {
-        "cofactor-matrix-determinant": (
+        "cofactor-matrix-determinant": lambda: (
             (n, None, {"cofactor-matrix-det": adjugate_det_F(n),
                        "fibonacci-power": fib(n + 1) ** (n - 1)})
             for n in range(2, limit(10) + 1)
         ),
-        "cofactor-closed-form": (
+        "cofactor-closed-form": lambda: (
             (n, None, {"i": i, "j": j, "closed-form": cofactor_F(n, i, j),
                        "oracle": adj[j - 1][i - 1]})
             for n in range(1, limit(8) + 1)
@@ -295,23 +285,23 @@ def _compositions(limit, bound, seed):
     rows = range(limit(30) + 1)  # each formula check reads one table for all rows
     size = len(rows)
     return {
-        "route-agreement": _triangle_cases(
+        "route-agreement": lambda: _triangle_cases(
             limit(18), ("formula", "bruteforce", "recurrence", "bitstring"), bound),
-        "minor-route-agreement": _triangle_cases(
+        "minor-route-agreement": lambda: _triangle_cases(
             min(14, limit(18)), ("formula", "minors", "charpoly"), bound),
-        "row-sums": (
+        "row-sums": lambda: (
             (n, None, {"row-sum": sum(c_formula(n, k, table) for k in range(n + 1)),
                        "power": 2 ** (n - 1)})
-            for table in _lazy(convolved_table, size, size) for n in rows[1:]
+            for table in [convolved_table(size, size)] for n in rows[1:]
         ),
-        "edge-columns": (
+        "edge-columns": lambda: (
             (n, None, {"c(n,0)": c_formula(n, 0, table), "fib(n-1)": fib(n - 1),
                        "c(n,n)": c_formula(n, n, table)})
-            for table in _lazy(convolved_table, size, size) for n in rows
+            for table in [convolved_table(size, size)] for n in rows
         ),
-        "penultimate-zero": (
+        "penultimate-zero": lambda: (
             (n, n - 1, {"c(n,n-1)": c_formula(n, n - 1, table), "expected": 0})
-            for table in _lazy(convolved_table, size, size) for n in rows[2:]
+            for table in [convolved_table(size, size)] for n in rows[2:]
         ),
     }
 
@@ -319,10 +309,10 @@ def _compositions(limit, bound, seed):
 def _wrong_index(limit, bound, seed):
     if limit(3) < 3:
         raise ValueError("the wrong-index demonstration needs nmax >= 3")
-    return {"wrong-index-counterexample": (
+    return {"wrong-index-counterexample": lambda: (
         (n, k, {"formula[wrong-index]": c_formula_wrong_index(n, k),
                 "bruteforce": rows[n][k]})
-        for rows in _lazy(triangle, 3, "bruteforce")
+        for rows in [triangle(3, "bruteforce")]
         for n, k in [(3, 1)]
     )}
 
@@ -361,8 +351,8 @@ def run_suite(
     def limit(default: int) -> int:
         return default if nmax is None else nmax
 
-    cases = _SUITES[name, variant](limit, bound, seed)
-    checks = [_run_check(check, check_cases) for check, check_cases in cases.items()]
+    suite = _SUITES[name, variant](limit, bound, seed)
+    checks = [_run_check(check, cases) for check, cases in suite.items()]
     return VerifyReport(name, checks, time.perf_counter() - started)
 
 

@@ -3,16 +3,20 @@
 Every criterion asserts that its checks in one verification suite passed;
 each suite runs once, at its default bounds, for all the criteria that read
 it.  The time held against the budget is the sum of the criterion's own
-checks' durations, which cover all of their route work.  Every check is an
-exact integer (or exact polynomial-coefficient) equality; there are no
-tolerances to tune.  Each test prints one pass/fail line, so
+checks' durations, which cover all of their route work (the last test
+holds every suite to that).  Every check is an exact integer (or exact
+polynomial-coefficient) equality; there are no tolerances to tune.  Each test prints one pass/fail line, so
 ``pytest tests/test_acceptance.py -v -s`` doubles as a readable report.
 """
 
 import io
+import time
 from contextlib import contextmanager, redirect_stdout
 from functools import cache
 
+import pytest
+
+from fibcomb import verify
 from fibcomb.cli import main as cli_main
 from fibcomb.verify import run_suite
 
@@ -100,3 +104,33 @@ def test_09_wrong_index_variant_reports_the_documented_counterexample():
 test_10_structural_row_properties = criterion(
     10, "structural-rows", 1.0, "compositions",
     ("row-sums", "edge-columns", "penultimate-zero"))
+
+
+def test_check_durations_cover_their_route_work(monkeypatch):
+    # the budgets above read CheckResult.duration, so every route a check
+    # runs must run inside its timer, none while its suite is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("route work outside a check's timer")
+
+    builders = set(verify._SUITES.values())
+    for name, value in vars(verify).items():
+        if callable(value) and value not in builders:
+            monkeypatch.setattr(verify, name, refuse)
+    for build in builders:
+        for cases in build(lambda default: default, None, 0).values():
+            with pytest.raises(AssertionError, match="outside a check's timer"):
+                for _ in cases():
+                    pass
+    monkeypatch.undo()
+
+    series_table = verify._series_table
+
+    def slow_series_table(n_max):
+        time.sleep(0.05)
+        return series_table(n_max)
+
+    monkeypatch.setattr(verify, "_series_table", slow_series_table)
+    durations = {check.name: check.duration for check in run_suite("charpoly").checks}
+    assert durations["charpoly-coefficients-are-convolved"] >= 0.05
+    assert durations["binomial-route-agrees"] >= 0.05
+    assert durations["charpoly-equals-shifted-fib-poly"] < 0.05

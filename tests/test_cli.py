@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -131,6 +132,38 @@ def test_verify_all_with_small_bound(capsys):
     assert "FAIL" not in out
 
 
+VERIFY_REPORT = """\
+suite thm11: PASS (3/3 checks passed, _s)
+  PASS thm11/det-F-fibonacci
+  PASS thm11/det-G-fibonacci
+  PASS thm11/random-tables
+suite minors: PASS (1/1 checks passed, _s)
+  PASS minors/minor-sums-are-convolved
+suite charpoly: PASS (3/3 checks passed, _s)
+  PASS charpoly/charpoly-equals-shifted-fib-poly
+  PASS charpoly/charpoly-coefficients-are-convolved
+  PASS charpoly/binomial-route-agrees
+suite identity24: PASS (1/1 checks passed, _s)
+  PASS identity24/alternating-sum-is-fibonacci
+suite adjugate: PASS (2/2 checks passed, _s)
+  PASS adjugate/cofactor-matrix-determinant
+  PASS adjugate/cofactor-closed-form
+suite compositions: PASS (5/5 checks passed, _s)
+  PASS compositions/route-agreement
+  PASS compositions/minor-route-agreement
+  PASS compositions/row-sums
+  PASS compositions/edge-columns
+  PASS compositions/penultimate-zero
+"""
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("verify", "--nmax", "0")])
+def test_verify_report_text(capsys, argv):
+    # the check order and the report layout, durations masked
+    code, out, err = run(capsys, *argv)
+    assert (code, re.sub(r"\d+\.\d\ds\)", "_s)", out), err) == (0, VERIFY_REPORT, "")
+
+
 def test_verify_wrong_index_variant(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "compositions",
@@ -155,6 +188,7 @@ def test_verify_refuses_negative_nmax(capsys, argv):
 @pytest.mark.parametrize("argv, order, bound", [
     (("verify", "--suite", "minors", "--bound", "5"), 12, 5),
     (("verify", "--bound", "3", "--nmax", "5"), 5, 3),
+    (("verify", "--bound", "-1", "--nmax", "0"), 0, -1),
 ])
 def test_verify_refuses_the_minors_suite_up_front(capsys, argv, order, bound):
     # refused before any minor is summed, so the message names the largest

@@ -137,6 +137,10 @@ def test_wrong_index_variant_differs():
     for n in range(1, 9):
         assert c_formula_wrong_index(n, 0) == fib(n + 1)
         assert c_formula(n, 0) == fib(n - 1)
+    # the shifted constraint reads the entry two rows down
+    for n in range(41):
+        for k in range(n + 1):
+            assert c_formula_wrong_index(n, k) == c_formula(n + 2, k), (n, k)
 
 
 def test_recurrence_examples():
