@@ -206,21 +206,16 @@ def _bruteforce_triangle(n_max: int) -> list[list[int]]:
 
 def _minors_triangle(n_max: int) -> list[list[int]]:
     # c(n, k) is the sum of the order-(n-k) principal minors of build_G(n),
-    # the leading n-block of build_G(n_max)
-    if n_max == 0:
-        return [[1]]
+    # the leading n-block of build_G(n_max), for n = 0..n_max
     return [sums[::-1] for sums in leading_minor_sums(build_G(n_max), n_max)]
 
 
 def _charpoly_triangle(n_max: int) -> list[list[int]]:
     # c(n, k) is (-1)^(n-k) times the coefficient of x^k in the
     # characteristic polynomial of build_G(n), the leading n-block of
-    # build_G(n_max)
-    rows = [[1]]
-    if n_max:
-        for n, p in enumerate(leading_char_polys(build_G(n_max)), start=1):
-            rows.append([-c if (n - k) % 2 else c for k, c in enumerate(p.coeffs)])
-    return rows
+    # build_G(n_max), for n = 0..n_max
+    return [[-c if (n - k) % 2 else c for k, c in enumerate(p.coeffs)]
+            for n, p in enumerate(leading_char_polys(build_G(n_max)))]
 
 
 # route -> (rows 0..n_max, the CAPS entry that n_max is checked against, or

@@ -14,7 +14,7 @@ independent evidence:
   polynomial entries.  The walk passes through d[m] for every m on its way
   to d[n]: ``det`` and ``char_poly`` read the last, and ``leading_dets``
   and ``leading_char_polys`` yield every leading block's, so one walk over
-  ``build_F(n)`` or ``build_G(n)`` gives every order up to n.  The sign
+  ``build_F(n)`` or ``build_G(n)`` gives every order 0..n.  The sign
   that turns det(H - xI) into det(xI - H) is applied only to an order that
   is read.
 * ``det_oracle`` is fraction-free Bareiss elimination on a dense matrix and
@@ -42,7 +42,9 @@ series.  A subset is a principal minor of every leading block that holds
 its largest index, so the one walk gives the minor sums of all n+1 leading
 blocks, the last row being those of h itself.  ``build_F(m)`` and
 ``build_G(m)`` are the leading blocks of ``build_F(n)`` and ``build_G(n)``,
-so one walk serves a whole range of orders.
+so one walk serves a whole range of orders.  Order 0 is the empty matrix,
+``build_F(0) == build_G(0)``, with determinant and characteristic
+polynomial 1, and every leading walk starts there.
 
 ``CAPS`` holds the cap of every brute-force enumeration in the package, and
 ``check_cap`` refuses a size above it unless a larger bound is passed.
@@ -161,10 +163,10 @@ def _split_row(row: tuple) -> tuple[tuple, int]:
 def build_F(n: int) -> HessenbergMatrix:
     """Order-n matrix with 1 on the diagonal and superdiagonal, 0 elsewhere above.
 
-    Its determinant is fib(n+1).
+    Its determinant is fib(n+1), also at n = 0, the empty matrix.
     """
-    if n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"matrix order must be >= 0, got {n}")
     # a row of one or two entries is all ones, so its tail is 1
     return HessenbergMatrix._of_pairs([((1, 1), 0)] * (n - 2) + [((1,), 1)] * min(n, 2))
 
@@ -172,18 +174,18 @@ def build_F(n: int) -> HessenbergMatrix:
 def build_G(n: int) -> HessenbergMatrix:
     """Order-n matrix with 0 on the diagonal and 1 everywhere strictly above.
 
-    Its determinant is fib(n-1).
+    Its determinant is fib(n-1), also at n = 0, the empty matrix.
     """
-    if n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"matrix order must be >= 0, got {n}")
     # the last row is its diagonal 0 alone, so its tail is 0
-    return HessenbergMatrix._of_pairs([((0,), 1)] * (n - 1) + [((0,), 0)])
+    return HessenbergMatrix._of_pairs([((0,), 1)] * (n - 1) + [((0,), 0)] * min(n, 1))
 
 
 def _expansion_det(rows: Sequence[tuple[Sequence, object]], one) -> Iterator:
-    # Yields d[1], ..., d[n], where d[m] is the determinant of the leading
-    # m x m block; expanding the last column against the -1 subdiagonal gives
-    # d[m] = sum_i entry(i, m) * d[i-1].
+    # Yields d[0] = one, d[1], ..., d[n], where d[m] is the determinant of
+    # the leading m x m block; expanding the last column against the -1
+    # subdiagonal gives d[m] = sum_i entry(i, m) * d[i-1].
     # rows[i] is the (head, tail) pair of row i+1: entry(i+1, m) is head[m-i-1]
     # for the first len(head) columns m = i+1, i+2, ... and tail after them.
     # totals[m-1] collects the head terms of d[m] and is complete once rows
@@ -200,6 +202,7 @@ def _expansion_det(rows: Sequence[tuple[Sequence, object]], one) -> Iterator:
     totals = [zero] * n
     starts = [zero] * (n + 1)  # starts[n] takes the tails that are empty
     carry = zero
+    yield d
     for i, (head, tail) in enumerate(rows):
         # one step per head entry: on the families' one- and two-entry heads
         # that takes about half the time of updating a slice of totals
@@ -213,10 +216,9 @@ def _expansion_det(rows: Sequence[tuple[Sequence, object]], one) -> Iterator:
         yield d
 
 
-def _last(values: Iterable, empty):
-    # the last of values, or empty if there is none, consumed without a loop
-    # step per value in Python
-    return next(iter(deque(values, maxlen=1)), empty)
+def _last(values: Iterable):
+    # the last of values, consumed without a loop step per value in Python
+    return deque(values, maxlen=1)[0]
 
 
 def det(h: HessenbergMatrix) -> int:
@@ -225,13 +227,13 @@ def det(h: HessenbergMatrix) -> int:
     O(sum of the rows' head lengths) products, so O(n) for ``build_F(n)``
     and ``build_G(n)``, whose rows are constant after at most two entries.
     """
-    return _last(leading_dets(h), 1)
+    return _last(leading_dets(h))
 
 
 def leading_dets(h: HessenbergMatrix) -> Iterator[int]:
-    """Determinants of the leading m x m blocks of h, m = 1..n, from one walk.
+    """Determinants of the leading m x m blocks of h, m = 0..n, from one walk.
 
-    The walk ``det`` makes, read at every order: all n values cost what
+    The walk ``det`` makes, read at every order: all n+1 values cost what
     the last one costs.  ``build_F(m)`` and ``build_G(m)`` are the leading
     blocks of ``build_F(n)`` and ``build_G(n)``.
     """
@@ -416,19 +418,19 @@ def char_poly(h: HessenbergMatrix) -> IntPolynomial:
     polynomials, so the walk makes O(sum of head lengths) polynomial
     products.
     """
-    p = _last(_expansion_det(_shifted_rows(h), IntPolynomial.one()), IntPolynomial.one())
+    p = _last(_expansion_det(_shifted_rows(h), IntPolynomial.one()))
     return -p if h.n % 2 else p
 
 
 def leading_char_polys(h: HessenbergMatrix) -> Iterator[IntPolynomial]:
-    """Characteristic polynomials of the leading m x m blocks, m = 1..n.
+    """Characteristic polynomials of the leading m x m blocks, m = 0..n.
 
-    The walk ``char_poly`` makes, read at every order, so the n
+    The walk ``char_poly`` makes, read at every order, so the n+1
     polynomials cost what the last one costs; each odd order takes its
     sign flip as it is read.  The walk keeps no polynomial it has passed.
     """
     walk = _expansion_det(_shifted_rows(h), IntPolynomial.one())
-    for m, p in enumerate(walk, start=1):
+    for m, p in enumerate(walk):
         yield -p if m % 2 else p
 
 
@@ -438,8 +440,6 @@ def cofactor_F(n: int, i: int, j: int) -> int:
     fib(i)*fib(n-j+1) on or above the diagonal, and the signed mirror
     (-1)^(i+j)*fib(j)*fib(n-i+1) below it.
     """
-    if n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"cofactor position ({i}, {j}) outside 1..{n}")
     if i <= j:

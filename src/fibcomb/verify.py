@@ -156,15 +156,11 @@ def _run_check(name: str, cases: Callable[[], Iterable[Case]]) -> CheckResult:
                        count, max_n, max_k)
 
 
-def _leading(walk, build, n_max: int) -> Iterable[tuple[int, object]]:
-    # (m, value of the leading m-block) for m = 1..n_max from one walk over
-    # build(n_max), whose leading m-block is build(m); n_max = 0 builds nothing
-    return enumerate(walk(build(n_max)), start=1) if n_max else ()
-
-
 def _det_cases(build, index_shift: int, limit: int) -> Iterator[Case]:
-    # the oracle takes each order on its own, as the independent route
-    for n, d in _leading(leading_dets, build, limit):
+    # orders 0..limit from one walk over build(limit), whose leading n-block
+    # is build(n); the oracle takes each order on its own, as the
+    # independent route
+    for n, d in enumerate(leading_dets(build(limit))):
         yield n, None, {"expansion": d, "oracle": det_oracle(build(n).materialize()),
                         "fibonacci": fib(n + index_shift)}
 
@@ -213,7 +209,7 @@ def _minor_sum_cases(n_max: int, bound: int | None) -> Iterator[Case]:
     # build_F(n) is the leading n-block of build_F(n_max), so one walk gives
     # every order; at n_max = 0 the walk is over the empty matrix, so the
     # bound is still checked
-    leading = leading_minor_sums(build_F(n_max) if n_max else HessenbergMatrix([]), bound)
+    leading = leading_minor_sums(build_F(n_max), bound)
     series = _series_table(n_max)
     for n in range(1, n_max + 1):
         sums = leading[n]
@@ -243,13 +239,13 @@ def _charpoly(limit, bound, seed):
         "charpoly-equals-shifted-fib-poly": lambda: (
             (n, None, {"char-poly": p.coeffs,
                        "shifted-fib-poly": shift_poly(fib_poly(n + 1)).coeffs})
-            for n, p in _leading(leading_char_polys, build_F, limit(15))
+            for n, p in enumerate(leading_char_polys(build_F(limit(15))))
         ),
         "charpoly-coefficients-are-convolved": lambda: (
             (n, k, {"coefficient": p.coefficient(k),
                     "signed-convolved": (-1) ** (n - k) * series[k][n - k]})
             for series in [_series_table(limit(15))]
-            for n, p in _leading(leading_char_polys, build_F, limit(15))
+            for n, p in enumerate(leading_char_polys(build_F(limit(15))))
             for k in range(n + 1)
         ),
         "binomial-route-agrees": lambda: _binomial_cases(limit(40)),

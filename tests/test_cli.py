@@ -109,7 +109,11 @@ def test_triangle_bound_enforcement(capsys):
 def test_det_commands(capsys):
     assert run(capsys, "det", "F", "6")[:2] == (0, "13\n")
     assert run(capsys, "det", "G", "6")[:2] == (0, "5\n")
-    assert run(capsys, "det", "F", "0")[0] == 2
+    # order 0 is the empty matrix, determinant and characteristic polynomial 1
+    for command in (("det", "F", "0"), ("det", "G", "0"), ("charpoly", "0")):
+        assert run(capsys, *command)[:2] == (0, "1\n"), command
+    assert run(capsys, "det", "F", "-1") == (
+        2, "", "error: matrix order must be >= 0, got -1\n")
 
 
 def test_charpoly_output(capsys):

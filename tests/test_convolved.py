@@ -117,8 +117,8 @@ def test_minor_route_examples():
 
 
 def test_minor_route_validates():
-    with pytest.raises(ValueError):
-        build_F(0)
+    # order 0 is the empty matrix: one row, its empty minor
+    assert leading_minor_sums(build_F(0)) == [[1]]
     # k = n reads the empty minor, 1, which is also convolved_fib(n + 1, 1)
     assert leading_minor_sums(build_F(4))[-1][4 - 4] == 1 == convolved_fib(5, 1)
     with pytest.raises(EnumerationBoundError):

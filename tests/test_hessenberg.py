@@ -147,11 +147,11 @@ def test_build_G_pattern():
                 assert full[i][j] == 0
 
 
-def test_builders_reject_order_zero():
-    with pytest.raises(ValueError):
-        build_F(0)
-    with pytest.raises(ValueError):
-        build_G(0)
+def test_builders_start_at_order_zero():
+    for build in (build_F, build_G):
+        with pytest.raises(ValueError, match=r"^matrix order must be >= 0, got -1$"):
+            build(-1)
+    assert build_F(0) == build_G(0) == HessenbergMatrix([])
 
 
 def test_ragged_upper_table_rejected():
@@ -167,7 +167,7 @@ def _upper_rows(full):
 def test_families_equal_their_materialized_rows(build):
     # the builders store their rows directly; the constructor splits full
     # rows, and both must give the same matrix
-    for n in range(1, 13):
+    for n in range(13):
         h = build(n)
         rebuilt = HessenbergMatrix(_upper_rows(h.materialize()))
         assert rebuilt == h
@@ -215,7 +215,7 @@ def test_det_G_examples():
 
 
 def test_det_families_match_fibonacci():
-    for n in [*range(1, 16), 150, 650, 1000]:
+    for n in [*range(16), 150, 650, 1000]:
         assert det(build_F(n)) == fib(n + 1)
         assert det(build_G(n)) == fib(n - 1)
 
@@ -249,14 +249,15 @@ def test_order_zero_gives_one():
     empty = HessenbergMatrix([])
     assert det(empty) == 1
     assert char_poly(empty) == 1
-    assert list(leading_dets(empty)) == list(leading_char_polys(empty)) == []
+    assert list(leading_dets(empty)) == [1]
+    assert list(leading_char_polys(empty)) == [IntPolynomial.one()]
 
 
 def _leading_blocks(h):
-    # the leading m x m blocks of h, m = 1..n, each built from its own entries
+    # the leading m x m blocks of h, m = 0..n, each built from its own entries
     full = h.materialize()
     return [HessenbergMatrix(row[i:m] for i, row in enumerate(full[:m]))
-            for m in range(1, h.n + 1)]
+            for m in range(h.n + 1)]
 
 
 @given(constant_tailed_hessenberg_matrices())
@@ -270,6 +271,21 @@ def test_leading_dets_are_the_oracle_determinants_of_the_leading_blocks(h):
 @settings(max_examples=30, deadline=None)
 def test_leading_char_polys_are_the_char_polys_of_the_leading_blocks(h):
     assert list(leading_char_polys(h)) == list(map(char_poly, _leading_blocks(h)))
+
+
+@pytest.mark.parametrize("build", [build_F, build_G])
+def test_the_three_leading_walks_give_the_same_orders(build):
+    # row m of each walk over build(n) is the value of build(m), from m = 0
+    for n in range(13):
+        h = build(n)
+        dets, polys = list(leading_dets(h)), list(leading_char_polys(h))
+        sums = leading_minor_sums(h)
+        assert len(dets) == len(polys) == len(sums) == n + 1
+        for m in range(n + 1):
+            block = build(m)
+            assert dets[m] == det(block), (n, m)
+            assert polys[m] == char_poly(block), (n, m)
+            assert sums[m] == leading_minor_sums(block)[-1], (n, m)
 
 
 def test_leading_char_polys_keep_no_passed_polynomial():
@@ -643,6 +659,8 @@ def test_cofactor_rejects_bad_positions():
         cofactor_F(3, 0, 1)
     with pytest.raises(ValueError):
         cofactor_F(3, 1, 4)
+    with pytest.raises(ValueError, match=r"^cofactor position \(1, 1\) outside 1\.\.0$"):
+        cofactor_F(0, 1, 1)
 
 
 def _reference_adjugate(matrix):

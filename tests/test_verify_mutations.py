@@ -23,6 +23,11 @@ def walk_off_by_one(walk):
     return lambda h: (value + 1 for value in walk(h))
 
 
+def empty_gives(fn, value):
+    # fn with the empty matrix's value replaced
+    return lambda matrix: value if len(matrix) == 0 else fn(matrix)
+
+
 def constant_moved_to_the_top(fn):
     # fn's polynomial with its constant coefficient moved above its leading one
     def mutant(*args):
@@ -85,10 +90,13 @@ MUTATIONS = [
     # suite, check, route replaced (mutants wrap the unpatched route), mutant,
     # (n, k) of the counterexample, labels
     ("thm11", "det-F-fibonacci", "leading_dets",
-     walk_off_by_one(verify.leading_dets), (1, None),
+     walk_off_by_one(verify.leading_dets), (0, None),
+     ("expansion", "oracle", "fibonacci")),
+    ("thm11", "det-F-fibonacci", "det_oracle",
+     empty_gives(verify.det_oracle, 2), (0, None),
      ("expansion", "oracle", "fibonacci")),
     ("thm11", "det-G-fibonacci", "det_oracle",
-     off_by_one(verify.det_oracle), (1, None),
+     off_by_one(verify.det_oracle), (0, None),
      ("expansion", "oracle", "fibonacci")),
     ("thm11", "random-tables", "recurrence_term",
      off_by_one(verify.recurrence_term), (7, None),
@@ -100,16 +108,16 @@ MUTATIONS = [
      entry_off_by_one(verify.leading_minor_sums, 4, 2), (4, 2),
      ("minor-sums", "series")),
     ("charpoly", "charpoly-equals-shifted-fib-poly", "shift_poly",
-     off_by_one(verify.shift_poly), (1, None),
+     off_by_one(verify.shift_poly), (0, None),
      ("char-poly", "shifted-fib-poly")),
     ("charpoly", "charpoly-equals-shifted-fib-poly", "shift_poly",
-     constant_moved_to_the_top(verify.shift_poly), (1, None),
+     constant_moved_to_the_top(verify.shift_poly), (0, None),
      ("char-poly", "shifted-fib-poly")),
     ("charpoly", "charpoly-coefficients-are-convolved", "leading_char_polys",
-     walk_off_by_one(verify.leading_char_polys), (1, 0),
+     walk_off_by_one(verify.leading_char_polys), (0, 0),
      ("coefficient", "signed-convolved")),
     ("charpoly", "charpoly-coefficients-are-convolved", "_series_rows",
-     table_off_by_one(verify._series_rows), (1, 0),
+     table_off_by_one(verify._series_rows), (0, 0),
      ("coefficient", "signed-convolved")),
     ("charpoly", "binomial-route-agrees", "convolved_fib",
      off_by_one(verify.convolved_fib), (0, 0),

@@ -13,16 +13,16 @@ from fibcomb.verify import run_all, run_suite
 # suite -> check -> (cases, max_n, max_k)
 RANGES = {
     "thm11": {
-        "det-F-fibonacci": (25, 25, None),
-        "det-G-fibonacci": (25, 25, None),
+        "det-F-fibonacci": (26, 25, None),
+        "det-G-fibonacci": (26, 25, None),
         "random-tables": (50, 10, None),
     },
     "minors": {
         "minor-sums-are-convolved": (78, 12, 11),
     },
     "charpoly": {
-        "charpoly-equals-shifted-fib-poly": (15, 15, None),
-        "charpoly-coefficients-are-convolved": (135, 15, 15),
+        "charpoly-equals-shifted-fib-poly": (16, 15, None),
+        "charpoly-coefficients-are-convolved": (136, 15, 15),
         "binomial-route-agrees": (861, 40, 40),
     },
     "identity24": {
@@ -50,6 +50,17 @@ def test_every_check_covers_its_pinned_range():
         for report in run_all()
     }
     assert seen == RANGES
+
+
+def test_nmax_zero_compares_order_zero_in_every_leading_walk_check():
+    # the leading walks start at the empty matrix, so --nmax 0 is one case
+    seen = {
+        check.name: (check.cases, check.max_n, check.max_k)
+        for report in run_all(nmax=0) for check in report.checks
+    }
+    assert seen["det-F-fibonacci"] == seen["det-G-fibonacci"] == (1, 0, None)
+    assert seen["charpoly-equals-shifted-fib-poly"] == (1, 0, None)
+    assert seen["charpoly-coefficients-are-convolved"] == (1, 0, 0)
 
 
 def test_a_failing_check_counts_the_cases_up_to_its_counterexample():
