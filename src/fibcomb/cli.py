@@ -5,16 +5,20 @@ a verification check fails, 2 on usage or resource errors and when standard
 output is closed before the output is complete (``fibcomb fib 10 | true``).
 
 ``main`` builds the argument parser on its first call and reuses it for the
-rest of the process.  The single values of ``fib``, ``det`` and ``convolved
-R M`` are printed by ``_int_digits``: ``str()`` up to 2^15 bits, and above
-that a divide-and-conquer split through ``decimal``, because ``str()`` is
-quadratic in the digit count before Python 3.12.
+rest of the process.  The single values of ``det`` and ``convolved R M`` are
+printed by ``_int_digits``: ``str()`` up to ``_STR_BITS`` (2^15) bits, and
+above that a divide-and-conquer split through ``decimal``, because ``str()``
+is quadratic in the digit count before Python 3.12.  ``fib n`` crosses the
+same threshold differently: a value over ``_STR_BITS`` bits is computed in
+``decimal`` from the start, by ``fib``'s loop over an exact Decimal, and
+printed by ``str()`` of the Decimal, which is linear in the digit count.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -83,10 +87,26 @@ def build_parser() -> argparse.ArgumentParser:
 # the same method above its own threshold; there the two stay within 1.3x
 # of each other from 2^15 to 2^20 bits (3.12.1: the split 5-20% faster;
 # 3.13.0: up to 1.3x slower below 2^18 bits, faster above), so no version
-# gate is kept
+# gate is kept.  The same threshold picks the number type of fib's loop:
+# over int, printed by _int_digits, or over Decimal, printed by str().  On
+# that host (only 3.11 measured) int is faster below it (1.4 vs 1.9 ms at
+# n = 42,000) and Decimal above (1.6 vs 1.0 ms at n = 47,000, 3.9 vs
+# 2.8 ms at 100,000, 18.7 vs 6.9 ms at 300,000)
 _STR_BITS = 1 << 15
 # the split's leaves, converted by Decimal(int) directly
 _LEAF_BITS = 2048
+# fib(n) < phi^n, so fib(n) has at most _STR_BITS bits while n log2(phi)
+# <= _STR_BITS, that is for n < 47,200
+_LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
+
+
+def _exact_decimal():
+    """A ``decimal`` context manager in which a rounded result raises Inexact."""
+    import decimal
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = True
+    return decimal.localcontext(ctx)
 
 
 def _int_digits(value: int) -> str:
@@ -119,16 +139,19 @@ def _int_digits(value: int) -> str:
         hi = n >> low
         return convert(hi, w - low) * power(low) + convert(n - (hi << low), low)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
+    with _exact_decimal():
         digits = str(convert(abs(value), value.bit_length()))
     return "-" + digits if value < 0 else digits
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
-    print(_int_digits(fib(args.n)))
+    if args.n * _LOG2_PHI <= _STR_BITS:
+        print(fib(args.n))
+    else:
+        import decimal
+
+        with _exact_decimal():
+            print(fib(args.n, decimal.Decimal(1)))
     return 0
 
 

@@ -2,13 +2,18 @@
 
 The index convention used throughout the package starts one step before the
 usual seed pair: fib(-1) = 1, fib(0) = 0, fib(1) = 1.  Indices below -1 are
-rejected.  All results are exact Python ints.
+rejected.  All results are exact Python ints, except that ``fib`` computes in
+the type of a ``one`` it is given.
 
 ``fib`` runs fast doubling over the bits of n, F(2k) = F(k)(2F(k+1) - F(k))
 and F(2k+1) = F(k)^2 + F(k+1)^2: O(log n) big-int products instead of n
-additions, so ``fib(100000)`` is a few milliseconds.  The tests keep the
-plain additive loop, and the binomial form of ``fib_poly``, as the oracles
-they are checked against.
+additions, so ``fib(100000)`` is a few milliseconds.  The loop only adds,
+subtracts and multiplies, so it runs over any number type given its one:
+``fibcomb fib`` passes an exact ``decimal.Decimal`` one for digit-scale
+values, which libmpdec multiplies by number-theoretic transforms and
+``str()`` prints in linear time.  The tests keep the plain additive loop,
+and the binomial form of ``fib_poly``, as the oracles they are checked
+against.
 """
 
 from __future__ import annotations
@@ -16,13 +21,18 @@ from __future__ import annotations
 from .poly import IntPolynomial
 
 
-def fib(n: int) -> int:
-    """Fibonacci number with the extended anchor fib(-1) = 1, fib(0) = 0."""
+def fib(n: int, one=1):
+    """Fibonacci number with the extended anchor fib(-1) = 1, fib(0) = 0.
+
+    The value is an int, or of the type of ``one`` when another one is
+    given; a ``decimal.Decimal`` one must be used under a context in which
+    the products are exact.
+    """
     if n < -1:
         raise ValueError(f"Fibonacci index must be >= -1, got {n}")
     if n == -1:
-        return 1
-    a, b = 0, 1  # fib(k), fib(k+1) for k = the leading bits of n read so far
+        return one
+    a, b = one - one, one  # fib(k), fib(k+1) for k = the leading bits of n read so far
     for shift in range(n.bit_length() - 1, -1, -1):
         a, b = a * (2 * b - a), a * a + b * b  # k -> 2k
         if n >> shift & 1:

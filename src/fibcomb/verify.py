@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 from itertools import zip_longest
 from operator import itemgetter
 
@@ -73,13 +73,14 @@ from .hessenberg import (
 Case = tuple[int, int | None, dict[str, object]]
 
 
-@dataclass
-class Counterexample:
-    """Location and per-route values of a failed comparison."""
+class Counterexample(namedtuple("Counterexample", "n k values")):
+    """Location and per-route values of a failed comparison.
 
-    n: int
-    k: int | None
-    values: dict[str, object]
+    ``n`` is an int, ``k`` an int or None, and ``values`` maps each route
+    label to that route's value.
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         where = f"n={self.n}" if self.k is None else f"n={self.n}, k={self.k}"
@@ -87,29 +88,24 @@ class Counterexample:
         return f"({where}): {detail}"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(namedtuple(
+    "CheckResult", "name passed counterexample duration cases max_n max_k",
+    defaults=(None, 0.0, 0, None, None),
+)):
     """Outcome of one check; ``duration`` covers all of its route work.
 
-    ``cases`` counts the cases compared (the failing one included), and
-    ``max_n``/``max_k`` are the largest indices among them (None when no case
-    carries one).
+    ``counterexample`` is None when the check passed.  ``cases`` counts the
+    cases compared (the failing one included), and ``max_n``/``max_k`` are
+    the largest indices among them (None when no case carries one).
     """
 
-    name: str
-    passed: bool
-    counterexample: Counterexample | None = None
-    duration: float = 0.0
-    cases: int = 0
-    max_n: int | None = None
-    max_k: int | None = None
+    __slots__ = ()
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-    duration: float = 0.0
+class VerifyReport(namedtuple("VerifyReport", "suite checks duration", defaults=((), 0.0))):
+    """One suite's check results, in run order, and its total duration."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -1,3 +1,4 @@
+import decimal
 import os
 import random
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fibcomb
+import fibcomb.cli
 from fibcomb.cli import _STR_BITS, _int_digits, build_parser, main
 from fibcomb.convolved import _series_rows, convolved_fib, convolved_fib_binomial
 from fibcomb.fib import fib
@@ -24,6 +26,8 @@ def run(capsys, *argv):
 def test_fib_extended_indices(capsys):
     assert run(capsys, "fib", "-1") == (0, "1\n", "")
     assert run(capsys, "fib", "0") == (0, "0\n", "")
+    assert run(capsys, "fib", "1") == (0, "1\n", "")
+    assert run(capsys, "fib", "2") == (0, "1\n", "")
     assert run(capsys, "fib", "10") == (0, "55\n", "")
 
 
@@ -294,6 +298,25 @@ def test_values_over_the_split_threshold_print_as_str(capsys, argv, value):
     assert expected.bit_length() > _STR_BITS
     with unlimited_digits():
         assert (code, out, err) == (0, f"{expected}\n", "")
+
+
+def test_fib_switches_to_decimal_past_the_split_threshold(capsys, monkeypatch):
+    # fib(n) < phi^n, so the command runs the int loop while n log2(phi)
+    # <= _STR_BITS, through n = 47199, and the Decimal loop from 47200 on;
+    # either way it prints str(fib(n))
+    number_types = {}
+
+    def spy(n, one=1):
+        number_types[n] = type(one)
+        return fib(n, one)
+
+    monkeypatch.setattr(fibcomb.cli, "fib", spy)
+    with unlimited_digits():
+        for n in range(47196, 47206):
+            assert run(capsys, "fib", str(n)) == (0, f"{fib(n)}\n", ""), n
+    assert _STR_BITS == 1 << 15
+    assert number_types == {n: int if n <= 47199 else decimal.Decimal
+                            for n in range(47196, 47206)}
 
 
 def test_convolved_value_below_the_split_threshold(capsys):

@@ -1,4 +1,7 @@
+import decimal
 import math
+import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -13,6 +16,11 @@ def test_extended_anchors():
     assert fib(0) == 0
     assert fib(1) == 1
     assert fib(2) == 1
+
+
+def test_fib_returns_an_int():
+    for n in (-1, 0, 1, 2, 100, 50000):
+        assert type(fib(n)) is int, n
 
 
 def test_known_value():
@@ -50,6 +58,27 @@ def test_doubling_identities(k):
     a, b = fib(k), fib(k + 1)
     assert fib(2 * k) == a * (2 * b - a)
     assert fib(2 * k + 1) == a * a + b * b
+
+
+def test_the_loop_over_an_exact_decimal_gives_the_same_digits():
+    # the command line's route for digit-scale values: the same loop, given
+    # a Decimal one, under a context in which every product is exact
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact])
+    rng = random.Random(31)
+    indices = [-1, 0, 1, 2, 3] + [rng.randrange(4, 10**5 + 1) for _ in range(30)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for n in indices:
+            with decimal.localcontext(exact):
+                value = fib(n, decimal.Decimal(1))
+            assert type(value) is decimal.Decimal, n
+            assert str(value) == str(fib(n)), n
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_fib_poly_base_cases():

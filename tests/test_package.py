@@ -63,6 +63,17 @@ def test_python_dash_m_runs_the_command_line():
     assert (done.returncode, done.stdout, done.stderr) == (0, "55\n", "")
 
 
+def test_importing_the_command_line_skips_dataclasses_and_inspect():
+    # -S: no site .pth file may load either module first
+    src = Path(fibcomb.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, fibcomb.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def _references(node):
     # every name a node's code looks up, by name, attribute or import;
     # docstrings and comments are no such references
