@@ -5,13 +5,11 @@ a verification check fails, 2 on usage or resource errors and when standard
 output is closed before the output is complete (``fibcomb fib 10 | true``).
 
 ``main`` builds the argument parser on its first call and reuses it for the
-rest of the process.  The single values of ``det`` and ``convolved R M`` are
-printed by ``_int_digits``: ``str()`` up to ``_STR_BITS`` (2^15) bits, and
-above that a divide-and-conquer split through ``decimal``, because ``str()``
-is quadratic in the digit count before Python 3.12.  ``fib n`` crosses the
-same threshold differently: a value over ``_STR_BITS`` bits is computed in
-``decimal`` from the start, by ``fib``'s loop over an exact Decimal, and
-printed by ``str()`` of the Decimal, which is linear in the digit count.
+rest of the process, and lifts the int-to-str digit limit while a command
+runs.  Every value and table is printed with ``str()``.  ``fib n`` alone
+picks its number type: past ``_STR_BITS`` (2^15) bits it runs ``fib``'s
+loop over an exact ``decimal.Decimal``, whose ``str()`` is linear in the
+digit count, where ``str()`` of an int is quadratic before Python 3.12.
 """
 
 from __future__ import annotations
@@ -81,67 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# str() and the decimal split cost the same near 30,000 bits (9,000 digits)
-# on a 2-core x86-64 host under Python 3.11.7, where the split is 1.9x
-# faster at 2^16 bits and 11x at 2^20.  From 3.12 str() itself switches to
-# the same method above its own threshold; there the two stay within 1.3x
-# of each other from 2^15 to 2^20 bits (3.12.1: the split 5-20% faster;
-# 3.13.0: up to 1.3x slower below 2^18 bits, faster above), so no version
-# gate is kept.  The same threshold picks the number type of fib's loop:
-# over int, printed by _int_digits, or over Decimal, printed by str().  On
-# that host (only 3.11 measured) int is faster below it (1.4 vs 1.9 ms at
-# n = 42,000) and Decimal above (1.6 vs 1.0 ms at n = 47,000, 3.9 vs
-# 2.8 ms at 100,000, 18.7 vs 6.9 ms at 300,000)
+# the number type of fib's loop: over int below this many bits, over an
+# exact Decimal above.  On a 2-core x86-64 host under Python 3.11.7 (only
+# 3.11 measured) int is faster below it (1.4 vs 1.9 ms at n = 42,000) and
+# Decimal above (1.6 vs 1.0 ms at n = 47,000, 3.9 vs 2.8 ms at 100,000,
+# 18.7 vs 6.9 ms at 300,000)
 _STR_BITS = 1 << 15
-# the split's leaves, converted by Decimal(int) directly
-_LEAF_BITS = 2048
 # fib(n) < phi^n, so fib(n) has at most _STR_BITS bits while n log2(phi)
 # <= _STR_BITS, that is for n < 47,200
 _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
-
-
-def _exact_decimal():
-    """A ``decimal`` context manager in which a rounded result raises Inexact."""
-    import decimal
-
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    ctx.traps[decimal.Inexact] = True
-    return decimal.localcontext(ctx)
-
-
-def _int_digits(value: int) -> str:
-    """``str(value)``, in subquadratic time for values over ``_STR_BITS`` bits.
-
-    Assumes the int-to-str digit limit is lifted, as ``main`` does: under
-    the default limit the ``str()`` branch refuses values between 4,300
-    digits and ``_STR_BITS`` bits, while the split converts any size.
-
-    The magnitude is split at a power of two, both halves are converted
-    recursively, and they are joined as ``hi * 2^w + lo`` with libmpdec's
-    exact products (the method of CPython 3.12's ``_pylong``).
-    """
-    if value.bit_length() <= _STR_BITS:
-        return str(value)
-    import decimal
-
-    powers: dict[int, decimal.Decimal] = {}
-
-    def power(w: int) -> decimal.Decimal:
-        if w not in powers:
-            powers[w] = (decimal.Decimal(2) ** w if w <= _LEAF_BITS
-                         else power(w >> 1) * power(w - (w >> 1)))
-        return powers[w]
-
-    def convert(n: int, w: int) -> decimal.Decimal:
-        if w <= _LEAF_BITS:
-            return decimal.Decimal(n)
-        low = w >> 1
-        hi = n >> low
-        return convert(hi, w - low) * power(low) + convert(n - (hi << low), low)
-
-    with _exact_decimal():
-        digits = str(convert(abs(value), value.bit_length()))
-    return "-" + digits if value < 0 else digits
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
@@ -150,7 +96,10 @@ def _cmd_fib(args: argparse.Namespace) -> int:
     else:
         import decimal
 
-        with _exact_decimal():
+        # a rounded result raises Inexact
+        ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+        ctx.traps[decimal.Inexact] = True
+        with decimal.localcontext(ctx):
             print(fib(args.n, decimal.Decimal(1)))
     return 0
 
@@ -160,7 +109,7 @@ def _cmd_convolved(args: argparse.Namespace) -> int:
         grid = convolved_table(args.r, args.m)
         print(render_grid(grid, args.format, args.offset), end="")
     else:
-        print(_int_digits(convolved_fib(args.r, args.m)))
+        print(convolved_fib(args.r, args.m))
     return 0
 
 
@@ -172,7 +121,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 def _cmd_det(args: argparse.Namespace) -> int:
     build = build_F if args.family == "F" else build_G
-    print(_int_digits(det(build(args.n))))
+    print(det(build(args.n)))
     return 0
 
 

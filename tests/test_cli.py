@@ -1,6 +1,5 @@
 import decimal
 import os
-import random
 import re
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import pytest
 
 import fibcomb
 import fibcomb.cli
-from fibcomb.cli import _STR_BITS, _int_digits, build_parser, main
+from fibcomb.cli import _STR_BITS, build_parser, main
 from fibcomb.convolved import _series_rows, convolved_fib, convolved_fib_binomial
 from fibcomb.fib import fib
 from fibcomb.hessenberg import build_F, build_G, det
@@ -207,11 +206,12 @@ def test_verify_refuses_the_minors_suite_up_front(capsys, argv, order, bound):
 
 
 def test_variant_requires_compositions_suite(capsys):
-    code, _, err = run(
-        capsys, "verify", "--suite", "minors", "--variant", "wrong-index"
-    )
-    assert code == 2
-    assert "compositions" in err
+    for argv, message in (
+        (("verify", "--suite", "minors", "--variant", "wrong-index"),
+         "--variant applies to the compositions suite only"),
+        (("verify", "--variant", "wrong-index"), "--variant needs --suite compositions"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_unknown_subcommand_exits_with_usage():
@@ -267,40 +267,23 @@ def test_fib_prints_values_over_the_int_str_digit_limit(capsys):
         assert out == f"{fib(25000)}\n"
 
 
-def test_int_digits_is_str_around_the_threshold():
-    edges = [0, 1, -1]
-    for bits in (_STR_BITS - 1, _STR_BITS, _STR_BITS + 1):
-        edges += [1 << (bits - 1), (1 << bits) - 1, -(1 << (bits - 1)), 1 - (1 << bits)]
-    with unlimited_digits():
-        for value in edges:
-            assert _int_digits(value) == str(value), value.bit_length()
-
-
-def test_int_digits_is_str_on_random_ints():
-    rng = random.Random(14)
-    with unlimited_digits():
-        for _ in range(40):
-            value = rng.getrandbits(rng.randrange(1, 200_001)) * rng.choice((1, -1))
-            assert _int_digits(value) == str(value), value.bit_length()
-
-
 @needs_digit_limit
 @pytest.mark.parametrize("argv, value", [
     (("fib", "300000"), lambda: fib(300000)),
     (("det", "F", "60000"), lambda: det(build_F(60000))),
     (("det", "G", "60000"), lambda: det(build_G(60000))),
+    # 1,531 bits: the binomial sum takes minutes to pass 2^15 bits
+    (("convolved", "20", "2000"), lambda: convolved_fib_binomial(2000 + 20 - 2, 20 - 1)),
 ])
-def test_values_over_the_split_threshold_print_as_str(capsys, argv, value):
+def test_values_on_both_sides_of_2_to_the_15_bits_print_as_str(capsys, argv, value):
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, *argv)
     assert sys.get_int_max_str_digits() == limit
-    expected = value()
-    assert expected.bit_length() > _STR_BITS
     with unlimited_digits():
-        assert (code, out, err) == (0, f"{expected}\n", "")
+        assert (code, out, err) == (0, f"{value()}\n", "")
 
 
-def test_fib_switches_to_decimal_past_the_split_threshold(capsys, monkeypatch):
+def test_fib_switches_to_decimal_past_2_to_the_15_bits(capsys, monkeypatch):
     # fib(n) < phi^n, so the command runs the int loop while n log2(phi)
     # <= _STR_BITS, through n = 47199, and the Decimal loop from 47200 on;
     # either way it prints str(fib(n))
@@ -317,15 +300,6 @@ def test_fib_switches_to_decimal_past_the_split_threshold(capsys, monkeypatch):
     assert _STR_BITS == 1 << 15
     assert number_types == {n: int if n <= 47199 else decimal.Decimal
                             for n in range(47196, 47206)}
-
-
-def test_convolved_value_below_the_split_threshold(capsys):
-    # the binomial sum takes minutes to reach the threshold, so only str()
-    # is exercised here
-    value = convolved_fib_binomial(2000 + 20 - 2, 20 - 1)
-    assert 1000 < value.bit_length() <= _STR_BITS
-    with unlimited_digits():
-        assert run(capsys, "convolved", "20", "2000") == (0, f"{value}\n", "")
 
 
 def test_parser_is_built_once_and_reused():

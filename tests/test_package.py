@@ -7,6 +7,9 @@ from importlib import import_module
 from pathlib import Path
 
 import fibcomb
+from fibcomb.cli import build_parser, main
+from fibcomb.compositions import ROUTES
+from fibcomb.formats import FORMATS
 
 # export -> its home module; the attribute fibcomb.fib is the function, so
 # modules are looked up by name
@@ -100,3 +103,106 @@ def test_every_library_function_has_a_caller():
         and everywhere[node.name] == Counter(_references(node))[node.name]
     )
     assert uncalled == []
+
+
+# product runs at small sizes, with the exit code each must give: every
+# command, every triangle route and table in every format, fib on both sides
+# of its int/Decimal switch, both verify runs, and a refusal for main's
+# error handler
+INVOCATIONS = (
+    (("fib", "10"), 0),
+    (("fib", "47300"), 0),
+    (("det", "F", "8"), 0),
+    (("det", "G", "8"), 0),
+    (("charpoly", "6"), 0),
+    (("convolved", "3", "5"), 0),
+    *((("convolved", "3", "4", "--table", "--format", fmt), 0) for fmt in FORMATS),
+    *((("triangle", "6", "--route", route, "--format", fmt), 0)
+      for route in ROUTES for fmt in FORMATS),
+    (("verify", "--nmax", "5"), 0),
+    (("verify", "--suite", "compositions", "--variant", "wrong-index", "--nmax", "3"), 1),
+    (("verify", "--variant", "wrong-index"), 2),
+)
+PROTOCOL = "exported-type protocol"
+ORACLE = "general oracle"
+ROUND_TRIP = "round-trip API read by bench/run.py and CI"
+SUBPROCESS = "subprocess-only"
+# module.function -> why the invocations leave some of its statements
+# unreached
+UNREACHED = {
+    "cli.main": SUBPROCESS,
+    "formats._line_error": ROUND_TRIP,
+    "formats._fields_error": ROUND_TRIP,
+    "formats.parse_triangle_csv": ROUND_TRIP,
+    "formats.parse_grid_csv": ROUND_TRIP,
+    "formats.parse_bfile": ROUND_TRIP,
+    "hessenberg.HessenbergMatrix.entry": PROTOCOL,
+    "hessenberg.HessenbergMatrix.__eq__": PROTOCOL,
+    "hessenberg.HessenbergMatrix.__hash__": PROTOCOL,
+    "hessenberg.HessenbergMatrix.__repr__": PROTOCOL,
+    "hessenberg.det_oracle": ORACLE,
+    "hessenberg.adjugate_oracle": ORACLE,
+    "poly.IntPolynomial.coefficient": PROTOCOL,
+    "poly.IntPolynomial.__bool__": PROTOCOL,
+    "poly.IntPolynomial.__eq__": PROTOCOL,
+    "poly.IntPolynomial.__hash__": PROTOCOL,
+    "poly.IntPolynomial.__add__": PROTOCOL,
+    "poly.IntPolynomial.__sub__": PROTOCOL,
+    "poly.IntPolynomial.__rsub__": PROTOCOL,
+    "poly.IntPolynomial.__mul__": PROTOCOL,
+    "poly.IntPolynomial.__call__": PROTOCOL,
+    "poly.IntPolynomial.__str__": PROTOCOL,
+    "poly.IntPolynomial.__repr__": PROTOCOL,
+    "poly._lift": PROTOCOL,
+}
+
+
+def _function_statements(node, scope, in_function=False):
+    # (module.function, statement) for each statement in a function body;
+    # module and class bodies run at import
+    for child in ast.iter_child_nodes(node):
+        if in_function and isinstance(child, ast.stmt):
+            yield scope, child
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _function_statements(child, f"{scope}.{child.name}",
+                                            isinstance(child, ast.FunctionDef))
+        else:
+            yield from _function_statements(child, scope, in_function)
+
+
+def _reached_lines(capsys):
+    package = str(Path(fibcomb.__file__).parent)
+    reached = set()
+
+    def trace(frame, event, arg):
+        if event == "line":
+            reached.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace if os.path.dirname(frame.f_code.co_filename) == package else None
+
+    # the parser is cached, so an earlier test may have built it already
+    build_parser.cache_clear()
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        codes = [main(list(argv)) for argv, _ in INVOCATIONS]
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert codes == [code for _, code in INVOCATIONS]
+    return reached
+
+
+def test_every_statement_is_reached_or_allowed(capsys):
+    reached = _reached_lines(capsys)
+    unreached = {}
+    for path in sorted(Path(fibcomb.__file__).parent.glob("*.py")):
+        for function, node in _function_statements(ast.parse(path.read_text()), path.stem):
+            # a raise is a guard, and a docstring compiles to no code
+            exempt = isinstance(node, ast.Raise) or (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+            if not exempt and (str(path), node.lineno) not in reached:
+                unreached.setdefault(function, []).append(node.lineno)
+    assert set(UNREACHED.values()) <= {PROTOCOL, ORACLE, ROUND_TRIP, SUBPROCESS}
+    assert {f: lines for f, lines in unreached.items() if f not in UNREACHED} == {}
+    # an entry whose function is now reached throughout is stale
+    assert sorted(set(UNREACHED) - set(unreached)) == []
