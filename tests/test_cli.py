@@ -283,6 +283,23 @@ def test_values_on_both_sides_of_2_to_the_15_bits_print_as_str(capsys, argv, val
         assert (code, out, err) == (0, f"{value()}\n", "")
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("argv, code", [
+    (("fib", "-2"), 2),
+    (("verify", "--suite", "compositions", "--variant", "wrong-index", "--nmax", "3"), 1),
+])
+def test_a_failed_command_restores_the_callers_digit_limit(capsys, argv, code):
+    # main lifts the limit while the command runs and puts back the caller's
+    # own limit, not the default, on every exit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, *argv)[0] == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_fib_switches_to_decimal_past_2_to_the_15_bits(capsys, monkeypatch):
     # fib(n) < phi^n, so the command runs the int loop while n log2(phi)
     # <= _STR_BITS, through n = 47199, and the Decimal loop from 47200 on;
