@@ -63,7 +63,7 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
 
 
-def c_formula(n: int, k: int, table: list[list[int]] | None = None) -> int:
+def c_formula(n: int, k: int, table: list[list[int]]) -> int:
     """c(n, k) by the explicit formula in convolved Fibonacci numbers.
 
     c(n, k) = sum over j of (-1)^j * C(k+1, j) * convolved_fib(k+1, n-k-j+1),
@@ -74,9 +74,9 @@ def c_formula(n: int, k: int, table: list[list[int]] | None = None) -> int:
     tuple scan; ``tests/test_compositions.py`` keeps that scan as the oracle
     it is checked against.
 
-    ``table``, if given, holds rows r = 1, 2, ... of the convolved table,
-    at least k+1 of them, row k+1 of at least n-k+1 terms, and row k+1 is
-    read from it instead of building one; the value is the same.  A
+    ``table`` holds rows r = 1, 2, ... of the convolved table, at least k+1
+    of them, row k+1 of at least n-k+1 terms, and only row k+1 is read:
+    ``convolved_table(k + 1, n - k + 1)`` is the smallest that serves.  A
     ``convolved_table(n + 1, n + 1)`` serves every entry of row n, and so
     does the triangular table that the formula route builds for it, row r
     of n-r+2 terms: about n^2/2 additions for the row instead of about
@@ -84,9 +84,7 @@ def c_formula(n: int, k: int, table: list[list[int]] | None = None) -> int:
     """
     _check_nk(n, k)
     top = n - k
-    if table is None:
-        table = convolved_table(k + 1, top + 1)
-    elif len(table) <= k or len(table[k]) <= top:
+    if len(table) <= k or len(table[k]) <= top:
         raise ValueError(f"convolved table too small for n={n}, k={k}")
     # (1-x)^(k+1) times row k+1 of the convolved table, read at x^top
     row = table[k]
@@ -107,7 +105,7 @@ def c_formula_wrong_index(n: int, k: int) -> int:
     fib(n-1)).
     """
     _check_nk(n, k)
-    return c_formula(n + 2, k)
+    return c_formula(n + 2, k, convolved_table(k + 1, n - k + 3))
 
 
 # Lanes per block of the bit-sliced scan: one int of 2^16 bits (8 KiB) per

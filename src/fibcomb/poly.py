@@ -1,10 +1,13 @@
-"""Dense integer-coefficient polynomials with exact arithmetic."""
+"""Dense integer-coefficient polynomials with exact arithmetic.
+
+Arithmetic is between polynomials only: an int operand is refused with
+``TypeError``, so a constant enters as ``IntPolynomial.constant(c)``.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import repeat
-from operator import add, mul
+from operator import add
 
 
 class IntPolynomial:
@@ -12,7 +15,8 @@ class IntPolynomial:
 
     ``coeffs[i]`` is the coefficient of ``x**i``.  The zero polynomial is the
     empty tuple; otherwise the last coefficient is nonzero.  Instances are
-    immutable, hashable, and safe to share between threads.
+    immutable, hashable, and safe to share between threads.  ``+``, ``-``
+    and ``*`` take two polynomials; ``==`` also compares with an int.
     """
 
     __slots__ = ("coeffs",)
@@ -46,9 +50,6 @@ class IntPolynomial:
             return self.coeffs[power]
         return 0
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPolynomial):
             return self.coeffs == other.coeffs
@@ -62,9 +63,8 @@ class IntPolynomial:
     def __neg__(self) -> IntPolynomial:
         return IntPolynomial(-c for c in self.coeffs)
 
-    def __add__(self, other: IntPolynomial | int) -> IntPolynomial:
-        other = _lift(other)
-        if other is None:
+    def __add__(self, other: IntPolynomial) -> IntPolynomial:
+        if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         # instances are immutable, so a sum with zero can be the other operand
@@ -76,51 +76,22 @@ class IntPolynomial:
             a, b = b, a
         return IntPolynomial((*map(add, a, b), *a[len(b):]))
 
-    __radd__ = __add__
-
-    def __sub__(self, other: IntPolynomial | int) -> IntPolynomial:
-        other = _lift(other)
-        if other is None:
+    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
+        if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: int) -> IntPolynomial:
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
-        other = _lift(other)
-        if other is None:
+    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
+        if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if len(a) > 1 < len(b):
-            return IntPolynomial(convolve(a, b, len(a) + len(b) - 1))
-        # a zero or constant factor, as most Hessenberg entries are: return
-        # the other factor for 1, else scale it in one pass
-        constant, p = (a, other) if len(a) <= 1 else (b, self)
-        if constant == (1,):
-            return p
-        if not constant:
-            return IntPolynomial()
-        return IntPolynomial(map(mul, p.coeffs, repeat(constant[0])))
-
-    __rmul__ = __mul__
-
-    def __call__(self, value):
-        """Evaluate at an integer, or compose when ``value`` is a polynomial.
-
-        Horner's scheme; exact in both cases.
-        """
-        if not self.coeffs:
-            return IntPolynomial() if isinstance(value, IntPolynomial) else 0
-        result = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            result = result * value + c
-        if isinstance(value, IntPolynomial) and not isinstance(result, IntPolynomial):
-            result = IntPolynomial.constant(result)
-        return result
+        # a zero or unit factor, as most Hessenberg entries are, needs no
+        # convolution
+        if not a or b == (1,):
+            return self
+        if not b or a == (1,):
+            return other
+        return IntPolynomial(convolve(a, b, len(a) + len(b) - 1))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -145,14 +116,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.coeffs!r})"
-
-
-def _lift(value) -> IntPolynomial | None:
-    if isinstance(value, IntPolynomial):
-        return value
-    if isinstance(value, int):
-        return IntPolynomial((value,))
-    return None
 
 
 def convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:

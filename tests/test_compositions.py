@@ -78,6 +78,11 @@ def c_formula_naive(n, k):
     return sum(prod(fib(j) for j in t) for t in _signed_tuples(k + 1, n - 2 * k - 1))
 
 
+def c_entry(n, k):
+    # c_formula with the smallest convolved table that serves (n, k)
+    return c_formula(n, k, convolved_table(k + 1, n - k + 1))
+
+
 # --- the counting routes ----------------------------------------------------
 
 
@@ -91,26 +96,27 @@ def test_bruteforce_examples():
 
 def test_formula_edge_columns():
     for n in range(31):
-        assert c_formula(n, 0) == fib(n - 1)
-        assert c_formula(n, n) == 1
+        assert c_entry(n, 0) == fib(n - 1)
+        assert c_entry(n, n) == 1
 
 
 def test_formula_example():
-    assert c_formula(3, 1) == 2
+    assert c_entry(3, 1) == 2
 
 
 def test_formula_rejects_bad_k():
+    ample = convolved_table(6, 6)
     with pytest.raises(ValueError):
-        c_formula(4, 5)
+        c_formula(4, 5, ample)
     with pytest.raises(ValueError):
-        c_formula(4, -1)
+        c_formula(4, -1, ample)
 
 
 def test_formula_reads_a_shared_table_like_its_own():
     for n in range(61):
         table = convolved_table(n + 1, n + 1)
         for k in range(n + 1):
-            assert c_formula(n, k, table) == c_formula(n, k)
+            assert c_formula(n, k, table) == c_entry(n, k)
         # the formula route's triangular table is the full one cut at index
         # n-k in row k+1, and gives the same row
         cut = [row[: n + 1 - k] for k, row in enumerate(table)]
@@ -127,7 +133,7 @@ def test_formula_reads_a_shared_table_like_its_own():
 def test_naive_tuple_sum_matches_series_route():
     for n in range(13):
         for k in range(n + 1):
-            assert c_formula_naive(n, k) == c_formula(n, k)
+            assert c_formula_naive(n, k) == c_entry(n, k)
 
 
 def test_wrong_index_variant_differs():
@@ -136,11 +142,11 @@ def test_wrong_index_variant_differs():
     # its k = 0 column lands two Fibonacci steps too high
     for n in range(1, 9):
         assert c_formula_wrong_index(n, 0) == fib(n + 1)
-        assert c_formula(n, 0) == fib(n - 1)
+        assert c_entry(n, 0) == fib(n - 1)
     # the shifted constraint reads the entry two rows down
     for n in range(41):
         for k in range(n + 1):
-            assert c_formula_wrong_index(n, k) == c_formula(n + 2, k), (n, k)
+            assert c_formula_wrong_index(n, k) == c_entry(n + 2, k), (n, k)
 
 
 def test_recurrence_examples():
@@ -154,7 +160,7 @@ def test_recurrence_matches_formula():
     rows = triangle(60, "recurrence")
     for n in [*range(31), 60]:
         for k in range(n + 1):
-            assert rows[n][k] == c_formula(n, k)
+            assert rows[n][k] == c_entry(n, k)
 
 
 def test_bitstring_oracle_examples():
@@ -264,7 +270,7 @@ def test_five_route_agreement_small():
     for n in range(11):
         for k in range(n + 1):
             expected = bruteforce[n][k]
-            assert c_formula(n, k) == expected
+            assert c_entry(n, k) == expected
             assert recurrence[n][k] == expected
             assert bitstring[n][k] == expected
             assert minors[n][k] == expected
@@ -306,7 +312,7 @@ def test_formula_and_recurrence_triangles_agree_to_rows_80_and_150():
 @given(st.integers(0, 120).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
 def test_triangle_entry_matches_recurrence_at_random(nk):
     n, k = nk
-    assert triangle(n, "recurrence")[n][k] == c_formula(n, k)
+    assert triangle(n, "recurrence")[n][k] == c_entry(n, k)
 
 
 def test_triangle_row_sums():

@@ -30,6 +30,8 @@ from fibcomb.hessenberg import (
 )
 from fibcomb.poly import IntPolynomial
 
+from horner import horner
+
 
 def _det_cofactor(m):
     # test-local reference determinant: first-row cofactor expansion
@@ -242,7 +244,7 @@ def test_expansion_det_equals_oracle_on_constant_tailed_rows(h):
 def test_char_poly_at_t_is_det_of_t_minus_h_on_constant_tailed_rows(h, t):
     full = h.materialize()
     shifted = [[t * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(full)]
-    assert char_poly(h)(t) == det_oracle(shifted)
+    assert horner(char_poly(h), t) == det_oracle(shifted)
 
 
 def test_order_zero_gives_one():
@@ -587,7 +589,7 @@ def test_char_poly_at_zero_recovers_det():
     for build in (build_F, build_G):
         for n in range(1, 10):
             h = build(n)
-            assert (-1) ** n * char_poly(h)(0) == det(h)
+            assert (-1) ** n * horner(char_poly(h), 0) == det(h)
 
 
 def test_char_poly_is_shifted_fibonacci_polynomial():

@@ -143,17 +143,13 @@ UNREACHED = {
     "hessenberg.det_oracle": ORACLE,
     "hessenberg.adjugate_oracle": ORACLE,
     "poly.IntPolynomial.coefficient": PROTOCOL,
-    "poly.IntPolynomial.__bool__": PROTOCOL,
     "poly.IntPolynomial.__eq__": PROTOCOL,
     "poly.IntPolynomial.__hash__": PROTOCOL,
     "poly.IntPolynomial.__add__": PROTOCOL,
     "poly.IntPolynomial.__sub__": PROTOCOL,
-    "poly.IntPolynomial.__rsub__": PROTOCOL,
     "poly.IntPolynomial.__mul__": PROTOCOL,
-    "poly.IntPolynomial.__call__": PROTOCOL,
     "poly.IntPolynomial.__str__": PROTOCOL,
     "poly.IntPolynomial.__repr__": PROTOCOL,
-    "poly._lift": PROTOCOL,
 }
 
 

@@ -11,16 +11,18 @@ import pytest
 
 from fibcomb import verify
 from fibcomb.compositions import c_formula, triangle
+from fibcomb.convolved import convolved_table
 from fibcomb.poly import IntPolynomial
 
 
-def off_by_one(fn):
-    return lambda *args, **kwargs: fn(*args, **kwargs) + 1
+def off_by_one(fn, one=1):
+    # fn's value plus one, where a polynomial route passes IntPolynomial.one()
+    return lambda *args, **kwargs: fn(*args, **kwargs) + one
 
 
-def walk_off_by_one(walk):
+def walk_off_by_one(walk, one=1):
     # a leading-block walk with the value of every order one too high
-    return lambda h: (value + 1 for value in walk(h))
+    return lambda h: (value + one for value in walk(h))
 
 
 def empty_gives(fn, value):
@@ -108,13 +110,13 @@ MUTATIONS = [
      entry_off_by_one(verify.leading_minor_sums, 4, 2), (4, 2),
      ("minor-sums", "series")),
     ("charpoly", "charpoly-equals-shifted-fib-poly", "shift_poly",
-     off_by_one(verify.shift_poly), (0, None),
+     off_by_one(verify.shift_poly, IntPolynomial.one()), (0, None),
      ("char-poly", "shifted-fib-poly")),
     ("charpoly", "charpoly-equals-shifted-fib-poly", "shift_poly",
      constant_moved_to_the_top(verify.shift_poly), (0, None),
      ("char-poly", "shifted-fib-poly")),
     ("charpoly", "charpoly-coefficients-are-convolved", "leading_char_polys",
-     walk_off_by_one(verify.leading_char_polys), (0, 0),
+     walk_off_by_one(verify.leading_char_polys, IntPolynomial.one()), (0, 0),
      ("coefficient", "signed-convolved")),
     ("charpoly", "charpoly-coefficients-are-convolved", "_series_rows",
      table_off_by_one(verify._series_rows), (0, 0),
@@ -214,7 +216,10 @@ def test_wrong_index_reports_whatever_the_routes_compute(monkeypatch):
 
 def test_wrong_index_passes_once_the_index_is_right(monkeypatch):
     # the demonstration fails because of the shifted index, not the engine
-    monkeypatch.setattr(verify, "c_formula_wrong_index", c_formula)
+    def right_index(n, k):
+        return c_formula(n, k, convolved_table(k + 1, n - k + 1))
+
+    monkeypatch.setattr(verify, "c_formula_wrong_index", right_index)
     (result,) = verify.run_suite("compositions", variant="wrong-index").checks
     assert result.passed
     assert result.counterexample is None
