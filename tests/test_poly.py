@@ -62,6 +62,21 @@ def test_evaluation_and_composition():
     assert horner(IntPolynomial(), q) == IntPolynomial()
 
 
+def test_composition_of_constant_polynomial():
+    # Horner multiplies the zero polynomial by x, which takes the zero
+    # short-cut, then adds the constant: a polynomial, not an int, comes back
+    c = IntPolynomial.constant(5)
+    assert horner(c, IntPolynomial.x()) == 5
+    assert isinstance(horner(c, IntPolynomial.x()), IntPolynomial)
+
+
+@given(small_coeffs, small_coeffs, st.integers(-5, 5))
+def test_compose_then_evaluate_matches_evaluate_twice(pc, qc, a):
+    # composition runs on polynomial products and sums, evaluation on ints
+    p, q = IntPolynomial(pc), IntPolynomial(qc)
+    assert horner(horner(p, q), a) == horner(p, horner(q, a))
+
+
 @given(small_coeffs, small_coeffs)
 def test_multiplication_commutes(ac, bc):
     a, b = IntPolynomial(ac), IntPolynomial(bc)
