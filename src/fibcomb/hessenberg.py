@@ -120,15 +120,6 @@ class HessenbergMatrix:
         h.rows = tuple(pairs)
         return h
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry at 1-based position (i, j) of the implied full matrix."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"position ({i}, {j}) outside order-{self.n} matrix")
-        if i > j:
-            return -1 if i == j + 1 else 0
-        head, tail = self.rows[i - 1]
-        return head[j - i] if j - i < len(head) else tail
-
     def materialize(self) -> list[list[int]]:
         """Full n x n matrix as a fresh list of lists."""
         n = self.n
@@ -185,8 +176,8 @@ def build_G(n: int) -> HessenbergMatrix:
 def _expansion_det(rows: Sequence[tuple[Sequence, object]], one) -> Iterator:
     # Yields d[0] = one, d[1], ..., d[n], where d[m] is the determinant of
     # the leading m x m block; expanding the last column against the -1
-    # subdiagonal gives d[m] = sum_i entry(i, m) * d[i-1].
-    # rows[i] is the (head, tail) pair of row i+1: entry(i+1, m) is head[m-i-1]
+    # subdiagonal gives d[m] = sum_i h(i, m) * d[i-1].
+    # rows[i] is the (head, tail) pair of row i+1: h(i+1, m) is head[m-i-1]
     # for the first len(head) columns m = i+1, i+2, ... and tail after them.
     # totals[m-1] collects the head terms of d[m] and is complete once rows
     # 1..m have added to it.  A tail term tail * d[i] belongs to every column
@@ -456,12 +447,3 @@ def adjugate_det_F(n: int) -> int:
         raise ValueError(f"cofactor-matrix determinant needs order >= 2, got {n}")
     cof = [[cofactor_F(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     return det_oracle(cof)
-
-
-def recurrence_term(h: HessenbergMatrix, a1: int) -> int:
-    """a_{n+1} obtained by iterating a_{m+1} = sum_{i<=m} p(i, m) * a_i from a_1."""
-    values = [a1]
-    for m in range(1, h.n + 1):
-        values.append(sum(h.entry(i, m) * values[i - 1] for i in range(1, m + 1)))
-    return values[-1]
-

@@ -6,8 +6,9 @@ and reports a concrete counterexample on the first disagreement.  Suites:
 * ``thm11``        - determinants of the F/G families against Fibonacci
                      numbers, every order of the expansion from one walk
                      and the oracle order by order, plus random matrices
-                     for the generic recurrence-equals-scaled-determinant
-                     identity;
+                     for the recurrence-determinant identity: the
+                     expansion ``det`` runs, which is the recurrence from
+                     a_1 = 1, against the oracle;
 * ``minors``       - principal-minor sums of F against the convolution series;
 * ``charpoly``     - characteristic polynomials, every order from one walk,
                      against shifted Fibonacci polynomials coefficient by
@@ -63,11 +64,11 @@ from .hessenberg import (
     build_F,
     build_G,
     cofactor_F,
+    det,
     det_oracle,
     leading_char_polys,
     leading_dets,
     leading_minor_sums,
-    recurrence_term,
 )
 
 Case = tuple[int, int | None, dict[str, object]]
@@ -113,7 +114,7 @@ class VerifyReport(namedtuple("VerifyReport", "suite checks duration", defaults=
 
 
 # Labels that only say where a case is: shown in a counterexample, not compared.
-_POSITION_LABELS = frozenset({"trial", "a1", "i", "j"})
+_POSITION_LABELS = frozenset({"trial", "i", "j"})
 
 # edge-columns is the one check that is not plain agreement between its routes.
 _TESTS = {"edge-columns": lambda v: v["c(n,0)"] == v["fib(n-1)"] and v["c(n,n)"] == 1}
@@ -166,9 +167,8 @@ def _random_tables(seed: int) -> Iterator[Case]:
     for trial in range(50):
         n = rng.randint(1, 10)
         h = HessenbergMatrix([rng.randint(-3, 3) for _ in range(n - i)] for i in range(n))
-        a1 = rng.randint(-3, 3)
-        yield n, None, {"trial": trial, "a1": a1, "iterated": recurrence_term(h, a1),
-                        "scaled-determinant": a1 * det_oracle(h.materialize())}
+        yield n, None, {"trial": trial, "expansion": det(h),
+                        "oracle": det_oracle(h.materialize())}
 
 
 def _triangle_cases(n_max: int, routes: tuple[str, ...], bound: int | None) -> Iterator[Case]:

@@ -37,7 +37,7 @@ def criterion_line(num, slug, budget):
 
 
 # only thm11's random-tables reads the seed; this one draws the 50 tables
-# that criterion 2 has always checked
+# on which criterion 2 checks det against the oracle
 SEED = 20250809
 
 

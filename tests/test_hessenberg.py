@@ -26,7 +26,6 @@ from fibcomb.hessenberg import (
     leading_char_polys,
     leading_dets,
     leading_minor_sums,
-    recurrence_term,
 )
 from fibcomb.poly import IntPolynomial
 
@@ -178,24 +177,16 @@ def test_families_equal_their_materialized_rows(build):
 
 @given(st.one_of(hessenberg_matrices(), constant_tailed_hessenberg_matrices(max_order=12)))
 @settings(deadline=None)
-def test_materialize_round_trips_and_agrees_with_entry(h):
+def test_materialize_round_trips_with_minus_one_on_the_subdiagonal(h):
     full = h.materialize()
     assert HessenbergMatrix(_upper_rows(full)) == h
-    n = h.n
-    assert full == [[h.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    # below the diagonal: -1 on the subdiagonal and 0 under it
+    assert all(full[i][j] == (-1 if j == i - 1 else 0) for i in range(h.n) for j in range(i))
 
 
 def test_matrices_with_different_tails_differ():
     assert HessenbergMatrix([[1, 0], [0]]) != HessenbergMatrix([[1, 1], [0]])
     assert HessenbergMatrix([[1, 1], [1]]) != HessenbergMatrix([[1, 1], [0]])
-
-
-def test_entry_bounds():
-    h = build_F(3)
-    with pytest.raises(IndexError):
-        h.entry(0, 1)
-    with pytest.raises(IndexError):
-        h.entry(1, 4)
 
 
 # --- determinants ---------------------------------------------------------
@@ -342,8 +333,9 @@ def principal_minor(h, deleted):
     # test-local reference: det_oracle of the submatrix kept after deleting
     # the listed rows and matching columns (1-based); deleting every index
     # leaves the empty matrix, whose determinant is 1
-    kept = [i for i in range(1, h.n + 1) if i not in deleted]
-    return det_oracle([[h.entry(r, c) for c in kept] for r in kept])
+    full = h.materialize()
+    kept = [i for i in range(h.n) if i + 1 not in deleted]
+    return det_oracle([[full[r][c] for c in kept] for r in kept])
 
 
 def _f_block_product(n, deleted):
@@ -430,17 +422,11 @@ def _minor_sums_by_subsets(h):
     return sums
 
 
-def _leading_block(h, m):
-    # the leading m x m block: h's first m rows, cut at column m
-    full = h.materialize()
-    return HessenbergMatrix(row[i:m] for i, row in enumerate(full[:m]))
-
-
 @given(zero_heavy_hessenberg_matrices())
 @settings(max_examples=60, deadline=None)
 def test_minor_sums_equal_the_sum_over_every_subset(h):
     leading = leading_minor_sums(h)
-    assert leading == [_minor_sums_by_subsets(_leading_block(h, m)) for m in range(h.n + 1)]
+    assert leading == list(map(_minor_sums_by_subsets, _leading_blocks(h)))
 
 
 def test_minor_sums_with_nontrivial_pivots_equal_the_sum_over_every_subset():
@@ -451,8 +437,7 @@ def test_minor_sums_with_nontrivial_pivots_equal_the_sum_over_every_subset():
         n = rng.randint(1, 8)
         h = HessenbergMatrix(
             [rng.choice((0, 0, 0, 2, -3, 5)) for _ in range(n - i)] for i in range(n))
-        assert leading_minor_sums(h) == [
-            _minor_sums_by_subsets(_leading_block(h, m)) for m in range(n + 1)]
+        assert leading_minor_sums(h) == list(map(_minor_sums_by_subsets, _leading_blocks(h)))
 
 
 def test_minor_sums_with_zero_diagonals_equal_the_sum_over_every_subset():
@@ -464,8 +449,7 @@ def test_minor_sums_with_zero_diagonals_equal_the_sum_over_every_subset():
         h = HessenbergMatrix(
             [0, *(rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n - i - 1))]
             for i in range(n))
-        assert leading_minor_sums(h) == [
-            _minor_sums_by_subsets(_leading_block(h, m)) for m in range(n + 1)]
+        assert leading_minor_sums(h) == list(map(_minor_sums_by_subsets, _leading_blocks(h)))
 
 
 def test_a_minor_takes_its_sign_from_the_block_product():
@@ -478,7 +462,7 @@ def test_a_minor_takes_its_sign_from_the_block_product():
     leading = leading_minor_sums(h)
     assert leading[2][2] == 3
     assert leading[3][3] == 14
-    assert leading == [_minor_sums_by_subsets(_leading_block(h, m)) for m in range(4)]
+    assert leading == list(map(_minor_sums_by_subsets, _leading_blocks(h)))
 
 
 @pytest.mark.parametrize("build", [build_F, build_G])
@@ -486,10 +470,11 @@ def test_minor_sums_of_the_families_equal_the_sum_over_every_subset(build):
     # build_G's zero diagonal makes every run of one index a zero block,
     # and build(n) is the leading n-block of build(12)
     leading = leading_minor_sums(build(12))
+    blocks = _leading_blocks(build(12))
     assert leading[0] == [1]
     for n in range(1, 13):
         h = build(n)
-        assert _leading_block(build(12), n) == h
+        assert blocks[n] == h
         assert leading_minor_sums(h)[-1] == leading[n] == _minor_sums_by_subsets(h)
 
 
@@ -539,8 +524,7 @@ def test_one_oracle_call_per_distinct_block_of_repeating_rows(monkeypatch):
         h = HessenbergMatrix(
             [rng.choice((0, 1)), *[rng.choice((0, 1))] * (n - i - 1)] for i in range(n))
         calls.clear()
-        assert leading_minor_sums(h) == [
-            _minor_sums_by_subsets(_leading_block(h, m)) for m in range(n + 1)]
+        assert leading_minor_sums(h) == list(map(_minor_sums_by_subsets, _leading_blocks(h)))
         assert len(calls) == len(_distinct_blocks(h))
 
 
@@ -752,17 +736,6 @@ def test_adjugate_det_rejects_small_orders():
 
 
 def test_all_ones_table_doubles():
+    # a_1 = 1 and a_{m+1} = a_1 + ... + a_m: 1, 1, 2, 4, 8, 16
     h = HessenbergMatrix([[1] * (5 - i) for i in range(5)])
-    assert recurrence_term(h, 1) == 16  # 1, 1, 2, 4, 8, 16
-    assert recurrence_term(h, 1) == det_oracle(h.materialize())
-
-
-def test_zero_seed_always_verifies():
-    h = build_F(6)
-    assert recurrence_term(h, 0) == 0  # a1 * det(h) with a1 = 0
-
-
-@given(hessenberg_matrices(), st.integers(-3, 3))
-@settings(deadline=None)
-def test_recurrence_equals_scaled_determinant(h, a1):
-    assert recurrence_term(h, a1) == a1 * det_oracle(h.materialize())
+    assert det(h) == 16 == det_oracle(h.materialize())

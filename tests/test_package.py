@@ -136,7 +136,6 @@ UNREACHED = {
     "formats.parse_triangle_csv": ROUND_TRIP,
     "formats.parse_grid_csv": ROUND_TRIP,
     "formats.parse_bfile": ROUND_TRIP,
-    "hessenberg.HessenbergMatrix.entry": PROTOCOL,
     "hessenberg.HessenbergMatrix.__eq__": PROTOCOL,
     "hessenberg.HessenbergMatrix.__hash__": PROTOCOL,
     "hessenberg.HessenbergMatrix.__repr__": PROTOCOL,

@@ -9,7 +9,7 @@ passes would have caught a wrong route.
 
 import pytest
 
-from fibcomb import verify
+from fibcomb import hessenberg, verify
 from fibcomb.compositions import c_formula, triangle
 from fibcomb.convolved import convolved_table
 from fibcomb.poly import IntPolynomial
@@ -100,9 +100,9 @@ MUTATIONS = [
     ("thm11", "det-G-fibonacci", "det_oracle",
      off_by_one(verify.det_oracle), (0, None),
      ("expansion", "oracle", "fibonacci")),
-    ("thm11", "random-tables", "recurrence_term",
-     off_by_one(verify.recurrence_term), (7, None),
-     ("trial", "a1", "iterated", "scaled-determinant")),
+    ("thm11", "random-tables", "det",
+     off_by_one(verify.det), (7, None),
+     ("trial", "expansion", "oracle")),
     ("minors", "minor-sums-are-convolved", "_series_rows",
      table_off_by_one(verify._series_rows), (1, 0),
      ("minor-sums", "series")),
@@ -204,6 +204,25 @@ def test_a_route_off_by_one_fails_its_check(
     ce = result.counterexample
     assert (ce.n, ce.k) == where
     assert tuple(ce.values) == labels
+
+
+def test_random_tables_catch_an_expansion_that_drops_head_entries(monkeypatch):
+    # build_F's and build_G's heads hold at most two entries, so only the
+    # random tables reach a third head entry of the walk det runs
+    expansion = hessenberg._expansion_det
+
+    def two_entry_heads(rows, one):
+        return expansion([(head[:2], tail) for head, tail in rows], one)
+
+    monkeypatch.setattr(hessenberg, "_expansion_det", two_entry_heads)
+    checks = {c.name: c for c in verify.run_suite("thm11").checks}
+    assert checks["det-F-fibonacci"].passed
+    assert checks["det-G-fibonacci"].passed
+    tables = checks["random-tables"]
+    assert not tables.passed
+    ce = tables.counterexample
+    assert (ce.n, ce.k) == (7, None)
+    assert ce.values == {"trial": 0, "expansion": -93, "oracle": -253}
 
 
 def test_wrong_index_reports_whatever_the_routes_compute(monkeypatch):
