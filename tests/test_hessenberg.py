@@ -735,7 +735,25 @@ def test_adjugate_det_rejects_small_orders():
 # --- the generic recurrence-determinant identity ----------------------------
 
 
+def _recurrence_term(h, a1):
+    # test-local reference: a_{n+1} from iterating a_{m+1} = sum_{i<=m} p(i, m) * a_i
+    # from a_1, with p(i, m) read from the materialized matrix
+    full = h.materialize()
+    values = [a1]
+    for m in range(h.n):
+        values.append(sum(full[i][m] * values[i] for i in range(m + 1)))
+    return values[-1]
+
+
 def test_all_ones_table_doubles():
     # a_1 = 1 and a_{m+1} = a_1 + ... + a_m: 1, 1, 2, 4, 8, 16
     h = HessenbergMatrix([[1] * (5 - i) for i in range(5)])
-    assert det(h) == 16 == det_oracle(h.materialize())
+    assert det(h) == 16 == det_oracle(h.materialize()) == _recurrence_term(h, 1)
+
+
+@given(st.one_of(hessenberg_matrices(), constant_tailed_hessenberg_matrices(max_order=12)),
+       st.integers(-3, 3))
+@settings(deadline=None)
+def test_recurrence_equals_scaled_determinant(h, a1):
+    # the paper's identity a_{n+1} = a_1 * det(P_n), against the det that ships
+    assert _recurrence_term(h, a1) == a1 * det(h)

@@ -82,3 +82,11 @@ def test_adjugate_suite_eliminates_once_per_order(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert run_suite("adjugate").passed
     assert Counter(calls) == {"det_oracle": 9, "adjugate_oracle": 8}
+
+
+def test_random_tables_pass_on_50_tables_at_every_seed_below_100():
+    # CI's console-script step runs seeds 1-8; this covers 5,000 tables
+    for seed in range(100):
+        (check,) = [c for c in run_suite("thm11", seed=seed).checks if c.name == "random-tables"]
+        assert check.passed, (seed, check.counterexample)
+        assert check.cases == 50 and check.max_n <= 10
