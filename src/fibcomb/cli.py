@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the number type of fib's loop: over int below this many bits, over an
 # exact Decimal above.  On a 2-core x86-64 host under Python 3.11.7 (only
-# 3.11 measured) int is faster below it (1.4 vs 1.9 ms at n = 42,000) and
-# Decimal above (1.6 vs 1.0 ms at n = 47,000, 3.9 vs 2.8 ms at 100,000,
-# 18.7 vs 6.9 ms at 300,000)
+# 3.11 measured), computing and printing fib(n) costs the same within 5%
+# on both from n = 8,000 to 46,550 (1.6 ms there), and Decimal pulls ahead
+# from n = 46,600 (1.66 vs 0.74 ms at 47,200, 7.1 vs 1.8 ms at 100,000,
+# 61 vs 4.6 ms at 300,000)
 _STR_BITS = 1 << 15
 # fib(n) < phi^n, so fib(n) has at most _STR_BITS bits while n log2(phi)
 # <= _STR_BITS, that is for n < 47,200

@@ -5,9 +5,10 @@ usual seed pair: fib(-1) = 1, fib(0) = 0, fib(1) = 1.  Indices below -1 are
 rejected.  All results are exact Python ints, except that ``fib`` computes in
 the type of a ``one`` it is given.
 
-``fib`` runs fast doubling over the bits of n, F(2k) = F(k)(2F(k+1) - F(k))
-and F(2k+1) = F(k)^2 + F(k+1)^2: O(log n) big-int products instead of n
-additions, so ``fib(100000)`` is a few milliseconds.  The loop only adds,
+``fib`` runs fast doubling over the bits of n with two squares per bit,
+F(2k-1) = F(k)^2 + F(k-1)^2 and F(2k+1) = 4F(k)^2 - F(k-1)^2 + 2(-1)^k,
+with F(2k) their difference: O(log n) big-int squares instead of n
+additions, so ``fib(100000)`` is under a millisecond.  The loop only adds,
 subtracts and multiplies, so it runs over any number type given its one:
 ``fibcomb fib`` passes an exact ``decimal.Decimal`` one for digit-scale
 values, which libmpdec multiplies by number-theoretic transforms and
@@ -30,14 +31,19 @@ def fib(n: int, one=1):
     """
     if n < -1:
         raise ValueError(f"Fibonacci index must be >= -1, got {n}")
-    if n == -1:
-        return one
-    a, b = one - one, one  # fib(k), fib(k+1) for k = the leading bits of n read so far
-    for shift in range(n.bit_length() - 1, -1, -1):
-        a, b = a * (2 * b - a), a * a + b * b  # k -> 2k
-        if n >> shift & 1:
-            a, b = b, a + b  # 2k -> 2k + 1
-    return a
+    if n < 1:
+        return one if n == -1 else one - one
+    # fib(k-1), fib(k) and 2(-1)^k for k = the leading bits of n read so far;
+    # the leading 1 is read here, k = 1
+    a, b, sign = one - one, one, -2
+    for bit in bin(n)[3:]:
+        a, b = a * a, b * b
+        lo, hi = a + b, 4 * b - a + sign  # fib(2k-1), fib(2k+1)
+        if bit == "1":
+            a, b, sign = hi - lo, hi, -2  # k -> 2k + 1
+        else:
+            a, b, sign = lo, hi - lo, 2  # k -> 2k
+    return b
 
 
 def fib_poly(n: int) -> IntPolynomial:

@@ -61,7 +61,7 @@ def criterion(num, slug, budget, suite, names):
 test_01_determinants_of_both_families = criterion(
     1, "determinants-both-routes", 1.0, "thm11", ("det-F-fibonacci", "det-G-fibonacci"))
 test_02_generic_recurrence_identity_on_random_tables = criterion(
-    2, "recurrence-equals-scaled-det", 1.0, "thm11", ("random-tables",))
+    2, "random-tables-expansion-vs-oracle", 1.0, "thm11", ("random-tables",))
 test_03_minor_sums_are_convolved_fibonacci = criterion(
     3, "minor-sums-vs-series", 30.0, "minors", ("minor-sums-are-convolved",))
 test_04_charpoly_shift_and_coefficients = criterion(

@@ -49,8 +49,11 @@ def _fib_walk():
 
 
 def test_fast_doubling_matches_the_additive_loop():
+    # all-ones and single-bit indices run long stretches of one branch of the
+    # loop and flip the parity of its sign term
+    edges = {2**j + d for j in range(17) for d in (-1, 0, 1)}
     for n, expected in zip(range(-1, 100001), _fib_walk()):
-        if n <= 3000 or n in (20000, 100000):
+        if n <= 3000 or n in (20000, 100000) or n in edges:
             assert fib(n) == expected, n
 
 
@@ -60,6 +63,11 @@ def test_doubling_identities(k):
     a, b = fib(k), fib(k + 1)
     assert fib(2 * k) == a * (2 * b - a)
     assert fib(2 * k + 1) == a * a + b * b
+    if k >= 1:
+        # the two squares the loop takes per bit, fib(k)^2 and fib(k-1)^2
+        a, b = fib(k - 1) ** 2, fib(k) ** 2
+        assert fib(2 * k - 1) == a + b
+        assert fib(2 * k + 1) == 4 * b - a + 2 * (-1) ** k
 
 
 def test_the_loop_over_an_exact_decimal_gives_the_same_digits():
