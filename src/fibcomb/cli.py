@@ -1,8 +1,9 @@
 """Command-line front end: values, tables, and the verification suites.
 
 Exit codes: 0 on success (and when every verification check passes), 1 when
-a verification check fails, 2 on usage or resource errors and when standard
-output is closed before the output is complete (``fibcomb fib 10 | true``).
+a verification check fails, 2 on usage or resource errors (a
+``MemoryError`` among them) and when standard output is closed before the
+output is complete (``fibcomb fib 10 | true``).
 
 ``main`` builds the argument parser on its first call and reuses it for the
 rest of the process, and lifts the int-to-str digit limit while a command
@@ -169,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader has gone: what is still buffered, and the flush at exit,

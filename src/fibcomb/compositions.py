@@ -50,6 +50,10 @@ string, which has no runs; that anchors the same convention.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import islice
+from operator import mul
+
 from .convolved import _convolved_rows, convolved_table
 from .fib import fib
 from .hessenberg import build_G, check_cap, leading_char_polys, leading_minor_sums
@@ -81,18 +85,37 @@ def c_formula(n: int, k: int, table: list[list[int]]) -> int:
     does the triangular table that the formula route builds for it, row r
     of n-r+2 terms: about n^2/2 additions for the row instead of about
     n^3/6, so a whole triangle costs about n^3/6 additions.
+
+    Given the table, an entry costs min(k+1, n-k)+1 products, summed in one
+    pass of C-level iteration.  The signs (-1)^j C(k+1, j) come from a row
+    of binomials that is built once per k+1 and cached for the life of the
+    process, so the cache grows with the largest k+1 any caller passes, as
+    its cube.  On 64-bit CPython 3.11 it holds about 55 KiB for k+1 <= 53
+    (a 53-row triangle), 0.5 MiB for k+1 <= 150, 2.3 MiB for k+1 <= 300
+    and 47 MiB for k+1 <= 1000.
     """
     _check_nk(n, k)
     top = n - k
     if len(table) <= k or len(table[k]) <= top:
         raise ValueError(f"convolved table too small for n={n}, k={k}")
-    # (1-x)^(k+1) times row k+1 of the convolved table, read at x^top
+    # (1-x)^(k+1) times row k+1 of the convolved table, read at x^top; map
+    # stops at the shorter operand, so min(k+1, top)+1 terms are read
     row = table[k]
-    total, b = 0, 1  # b = (-1)^j * C(k+1, j)
-    for j in range(min(k + 1, top) + 1):
-        total += b * row[top - j]
-        b = -b * (k + 1 - j) // (j + 1)
-    return total
+    backwards = islice(reversed(row), len(row) - 1 - top, None)  # row[top], row[top-1], ...
+    return sum(map(mul, _one_minus_x_power(k + 1), backwards))
+
+
+@cache
+def _one_minus_x_power(r: int) -> tuple[int, ...]:
+    # the coefficients (-1)^j C(r, j) of (1-x)^r, one row per r for the life
+    # of the process: an lru_cache bounded below the largest r in use evicts
+    # every row before its next read.  Each term from the last, one product
+    # and one exact division: r + 1 calls of math.comb take 7x as long at
+    # r <= 300
+    signed = [1]
+    for j in range(r):
+        signed.append(-signed[-1] * (r - j) // (j + 1))
+    return tuple(signed)
 
 
 def c_formula_wrong_index(n: int, k: int) -> int:

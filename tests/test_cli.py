@@ -238,6 +238,23 @@ def test_a_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
         2, "error: standard output was closed before the output was complete\n")
 
 
+def test_running_out_of_memory_exits_2_with_one_error_line():
+    # 2^30 one-byte compositions do not fit under a 256 MiB address space
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = Path(fibcomb.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "fibcomb",
+         "triangle", "30", "--route", "bruteforce", "--bound", "30"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=limit_memory, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
     reason="no int-to-str digit limit before Python 3.10.7",

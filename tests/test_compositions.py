@@ -10,6 +10,7 @@ from fibcomb.compositions import (
     ROUTES,
     _bitstring_row,
     _formula_row,
+    _one_minus_x_power,
     c_formula,
     c_formula_wrong_index,
     triangle,
@@ -17,6 +18,7 @@ from fibcomb.compositions import (
 from fibcomb.convolved import _convolved_rows, convolved_table
 from fibcomb.fib import fib
 from fibcomb.hessenberg import EnumerationBoundError, build_F, leading_minor_sums
+from fibcomb.poly import IntPolynomial
 
 
 # --- test-local oracles -----------------------------------------------------
@@ -110,6 +112,13 @@ def test_formula_rejects_bad_k():
         c_formula(4, 5, ample)
     with pytest.raises(ValueError):
         c_formula(4, -1, ample)
+
+
+def test_formula_signs_are_the_coefficients_of_powers_of_one_minus_x():
+    power = IntPolynomial.one()
+    for r in range(61):
+        assert _one_minus_x_power(r) == power.coeffs
+        power = power * IntPolynomial((1, -1))
 
 
 def test_formula_reads_a_shared_table_like_its_own():

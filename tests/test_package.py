@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import fibcomb
 from fibcomb.cli import build_parser, main
-from fibcomb.compositions import ROUTES
+from fibcomb.compositions import ROUTES, _one_minus_x_power
 from fibcomb.formats import FORMATS
 
 # export -> its home module; the attribute fibcomb.fib is the function, so
@@ -105,23 +107,39 @@ def test_every_library_function_has_a_caller():
     assert uncalled == []
 
 
-# product runs at small sizes, with the exit code each must give: every
-# command, every triangle route and table in every format, fib on both sides
-# of its int/Decimal switch, both verify runs, and a refusal for main's
-# error handler
+# product runs at small sizes, with the exit code each must give and the
+# sha256 of its stdout: every command, every triangle route and table in
+# every format, fib on both sides of its int/Decimal switch, both verify runs,
+# and a refusal for main's error handler.  Every route prints the same
+# triangle, so each format has one digest.
+TABLE_3_4 = {
+    "plain": "87586856ac90a4a27082e611c3cb0def4b06305b8cbc9a4a296078211d70b6db",
+    "csv": "5e93b481e259eeb8f0891e9089e721c382f90cf1457b3ce23b56eb4de91e39c5",
+    "bfile": "8f1e8b142f7d11e4ea848ec063353bc689ce573cf7b0eb27b73bf15c4b4e3106",
+}
+TRIANGLE_6 = {
+    "plain": "e6d3839e4c479580c59ab3be77606ecbf6a684934f0c92a4eb4883f1ae0aa1ad",
+    "csv": "7207e081f5ac21f5d4f07421eb866e41a99226fe3941e3805543a66b6d0337bc",
+    "bfile": "9a0fbb63e72366e789fc154e53a40a2f4f3e624d1a1c77111bf0a8fdb0ccf2cf",
+}
 INVOCATIONS = (
-    (("fib", "10"), 0),
-    (("fib", "47300"), 0),
-    (("det", "F", "8"), 0),
-    (("det", "G", "8"), 0),
-    (("charpoly", "6"), 0),
-    (("convolved", "3", "5"), 0),
-    *((("convolved", "3", "4", "--table", "--format", fmt), 0) for fmt in FORMATS),
-    *((("triangle", "6", "--route", route, "--format", fmt), 0)
+    (("fib", "10"), 0, "4c82a221b575ce7fe118b2e8cdf0764bf4ef570a3017e80b6d3438af9095f376"),
+    (("fib", "47300"), 0, "8fdcd155290472f0f7a29047bceb8eb19231497804ab1d8431f0128ddabd284d"),
+    (("det", "F", "8"), 0, "ea243e5457028e97f9bc93b37a72f8e80ea61ae081911bb037765590ee6aa435"),
+    (("det", "G", "8"), 0, "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17"),
+    (("charpoly", "6"), 0, "42767956d2f7a1c16127cf7fae2ec43a4829e022418aeb99aaa29693330a6660"),
+    (("convolved", "3", "5"), 0,
+     "9e62e6489fcc4bc58be7cb23e74d25cbfcc3732c1f70e8c37f12a756d1db9381"),
+    *((("convolved", "3", "4", "--table", "--format", fmt), 0, TABLE_3_4[fmt])
+      for fmt in FORMATS),
+    *((("triangle", "6", "--route", route, "--format", fmt), 0, TRIANGLE_6[fmt])
       for route in ROUTES for fmt in FORMATS),
-    (("verify", "--nmax", "5"), 0),
-    (("verify", "--suite", "compositions", "--variant", "wrong-index", "--nmax", "3"), 1),
-    (("verify", "--variant", "wrong-index"), 2),
+    (("verify", "--nmax", "5"), 0,
+     "b55ede3652649bf0cc30e1b1895e827f8600da219f5fdc6c5df8ef6cde0d9c7a"),
+    (("verify", "--suite", "compositions", "--variant", "wrong-index", "--nmax", "3"), 1,
+     "eefc948e79de22f721bc32ea040a9bfd538d0638ac31d3869810c1490cd83af6"),
+    (("verify", "--variant", "wrong-index"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 )
 PROTOCOL = "exported-type protocol"
 ORACLE = "general oracle"
@@ -174,17 +192,27 @@ def _reached_lines(capsys):
             reached.add((frame.f_code.co_filename, frame.f_lineno))
         return trace if os.path.dirname(frame.f_code.co_filename) == package else None
 
-    # the parser is cached, so an earlier test may have built it already
+    # the parser and the (1-x)^r rows are cached, so an earlier test may have
+    # built them already
     build_parser.cache_clear()
+    _one_minus_x_power.cache_clear()
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        codes = [main(list(argv)) for argv, _ in INVOCATIONS]
+        codes = [main(list(argv)) for argv, _, _ in INVOCATIONS]
     finally:
         sys.settrace(previous)
     capsys.readouterr()
-    assert codes == [code for _, code in INVOCATIONS]
+    assert codes == [code for _, code, _ in INVOCATIONS]
     return reached
+
+
+def test_every_invocation_prints_the_same_bytes(capsys):
+    # verify's durations (format_report's ", 0.01s)") are masked
+    for argv, code, digest in INVOCATIONS:
+        assert main(list(argv)) == code, argv
+        out = re.sub(r", \d+\.\d\ds\)", ", s)", capsys.readouterr().out)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_every_statement_is_reached_or_allowed(capsys):
